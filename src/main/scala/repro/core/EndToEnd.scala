@@ -68,9 +68,10 @@ final class EndToEnd(spark: SparkSession,
     val nHist = hist.count()
     val t3 = System.nanoTime()
 
-    // ML part: classify + confidence for every alarm of the window.
-    val scored = service.verify(batchDf)
-    val nScored = scored.select("p_true", "prediction").count()
+    // ML part: classify + confidence for every alarm of the window. The
+    // verdicts are collected: a count() would let the optimizer prune the
+    // encoder and model away.
+    val nScored = EndToEnd.verdicts(service.verify(batchDf)).collect().length.toLong
     val t4 = System.nanoTime()
 
     batchDf.unpersist()
@@ -92,4 +93,10 @@ final class EndToEnd(spark: SparkSession,
     val sec = (System.nanoTime() - t0) / 1e9
     (out.result(), if (sec > 0) total / sec else 0.0)
   }
+}
+
+object EndToEnd {
+  /** What the consumer hands on per alarm: the ARC needs the alarm id, its
+    * confidence and the routing decision. */
+  def verdicts(scored: DataFrame): DataFrame = scored.select("id", "p_true", "send_to_arc")
 }

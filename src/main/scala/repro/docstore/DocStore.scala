@@ -24,12 +24,20 @@ final class DocStore(spark: SparkSession) {
     collections.getOrElseUpdate(name, mutable.ArrayBuffer.empty[String])
   }
 
+  // Per-collection write counter; kept across `drop`, so a dropped and
+  // refilled collection never repeats an earlier version.
+  private val versions = mutable.Map.empty[String, Long].withDefaultValue(0L)
+
+  private def touch(name: String): Unit = versions(name) += 1
+
   /** Insert one raw JSON document. */
-  def insert(name: String, jsonDoc: String): Unit = synchronized { coll(name) += jsonDoc }
+  def insert(name: String, jsonDoc: String): Unit = synchronized {
+    coll(name) += jsonDoc; touch(name)
+  }
 
   /** Insert many raw JSON documents. */
   def insertAll(name: String, docs: IterableOnce[String]): Unit = synchronized {
-    coll(name) ++= docs
+    coll(name) ++= docs; touch(name)
   }
 
   /** Insert every row of a DataFrame as one JSON document. */
@@ -40,7 +48,12 @@ final class DocStore(spark: SparkSession) {
 
   def collectionNames: Seq[String] = synchronized { collections.keys.toSeq.sorted }
 
-  def drop(name: String): Unit = synchronized { collections.remove(name); () }
+  def drop(name: String): Unit = synchronized { collections.remove(name); touch(name) }
+
+  /** Changes on every insert, load or drop of collection `name`, so a reader
+    * that caches something derived from the collection can tell when the
+    * cache is stale. */
+  def version(name: String): Long = synchronized { versions(name) }
 
   /** Materialize a collection as a DataFrame (schema inferred across all
     * documents; missing fields become nulls, like MongoDB projections). */
@@ -74,6 +87,7 @@ final class DocStore(spark: SparkSession) {
           val name = p.getFileName.toString.stripSuffix(".jsonl")
           val lines = Files.readAllLines(p, StandardCharsets.UTF_8).asScala.filter(_.nonEmpty)
           coll(name) ++= lines
+          touch(name)
         }
     }
   }

@@ -59,6 +59,23 @@ class EndToEndSpec extends SparkSpec {
     assert(bt.nHistogramRows > 0, "expected historic alarms for at least one device")
   }
 
+  test("the timed ML query runs the encoder and model UDFs") {
+    val (service, _, _) = fixture
+    val batch = TestFixtures.sitasys(spark).limit(100).cache()
+    def udfs(q: org.apache.spark.sql.DataFrame): Int =
+      "UDF".r.findAllMatchIn(q.queryExecution.optimizedPlan.toString).length
+    val scored = service.verify(batch)
+    val timed = EndToEnd.verdicts(scored)
+    val plan = timed.queryExecution.optimizedPlan.toString
+    // Encoder (feat_idx, features) and model (probability, p_true) UDFs,
+    // applied to the encoder's input struct.
+    assert(udfs(timed) >= 3 && plan.contains("UDF(struct(") && plan.contains("p_true"), plan)
+    // The seed's timer, a count() over the scored columns, is pruned to a scan.
+    assert(udfs(scored.select("p_true", "prediction").groupBy().count()) == 0)
+    assert(timed.collect().length == 100)
+    batch.unpersist()
+  }
+
   test("exactly-once: a second drain consumes nothing") {
     val (_, producer, e2e, events) = mkPipeline(4)
     producer.sendAll(events.take(200))

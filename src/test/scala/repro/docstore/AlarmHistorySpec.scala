@@ -1,9 +1,33 @@
 package repro.docstore
 
+import java.nio.charset.StandardCharsets
+import java.nio.file.Files
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
+import org.scalacheck.{Gen, Prop, Test}
+import org.scalacheck.rng.Seed
 import repro.{Oracle, SparkSpec, TestFixtures}
 
 class AlarmHistorySpec extends SparkSpec {
+
+  /** A histogram as a set of (device, bucket start, alarms). */
+  private def rows(hist: DataFrame): Set[(String, Long, Long)] =
+    hist.collect().map(r => (r.getString(0), r.getLong(1), r.getLong(2))).toSet
+
+  /** The indexed histogram equals the one over the parsed documents. */
+  private def assertIndexed(h: AlarmHistory, devices: Seq[String], fromEpoch: Long,
+                            bucketSec: Long): Set[(String, Long, Long)] = {
+    val got = rows(h.histogram(devices, fromEpoch, bucketSec))
+    val docs = h.historyDf
+    val expect =
+      if (docs.columns.contains("device_addr")) rows(AlarmHistory.histogramOf(docs, devices, fromEpoch, bucketSec))
+      else Set.empty[(String, Long, Long)]
+    assert(got == expect)
+    got
+  }
+
+  private def epochDocs(docs: Seq[(String, Long)]): Seq[String] =
+    docs.map { case (d, ts) => s"""{"device_addr":"$d","ts_epoch":$ts}""" }
 
   private lazy val (store, history) = {
     val s = new DocStore(spark)
@@ -63,15 +87,123 @@ class AlarmHistorySpec extends SparkSpec {
   test("histogram matches the DuckDB oracle") {
     val histInput = history.historyDf.select("device_addr", "ts_epoch")
     val devList = someDevices.map(d => s"'$d'").mkString(", ")
-    val got = AlarmHistory.histogramOf(histInput, someDevices, 1443657600L, 3600)
-    Oracle.assertEquivalent(got,
+    val sql =
       s"""SELECT device_addr,
          |       CAST(FLOOR(CAST(ts_epoch AS BIGINT) / 3600) * 3600 AS BIGINT) AS bucket_start,
          |       COUNT(*) AS n_alarms
          |FROM history
          |WHERE device_addr IN ($devList) AND CAST(ts_epoch AS BIGINT) >= 1443657600
-         |GROUP BY device_addr, bucket_start""".stripMargin,
-      "history" -> histInput)
+         |GROUP BY device_addr, bucket_start""".stripMargin
+    Oracle.assertEquivalent(AlarmHistory.histogramOf(histInput, someDevices, 1443657600L, 3600),
+      sql, "history" -> histInput)
+    Oracle.assertEquivalent(history.histogram(someDevices, 1443657600L, 3600),
+      sql, "history" -> histInput)
+  }
+
+  test("property: the indexed histogram equals histogramOf over the documents") {
+    val genDocs = Gen.listOf(Gen.zip(Gen.oneOf("d0", "d1", "d2", "d3"), Gen.chooseNum(-5000L, 100000L)))
+    val genCase = for {
+      batches   <- Gen.chooseNum(1, 3).flatMap(n => Gen.listOfN(n, genDocs))
+      devices   <- Gen.someOf("d0", "d1", "d2", "d4")
+      fromEpoch <- Gen.chooseNum(-6000L, 100000L)
+      bucketSec <- Gen.chooseNum(1L, 20000L)
+    } yield (batches, devices.toSeq, fromEpoch, bucketSec)
+    import spark.implicits._
+    val prop = Prop.forAllNoShrink(genCase) { case (batches, devices, fromEpoch, bucketSec) =>
+      val h = new AlarmHistory(spark, new DocStore(spark))
+      batches.foreach(b => h.ingest(b.toDF("device_addr", "ts_epoch")))
+      assertIndexed(h, devices, fromEpoch, bucketSec)
+      true
+    }
+    val result = Test.check(Test.Parameters.default.withMinSuccessfulTests(25)
+      .withInitialSeed(Seed(20180326L)).withWorkers(1), prop)
+    assert(result.passed, result.status.toString)
+  }
+
+  test("ingest after a query is reflected by the next histogram") {
+    import spark.implicits._
+    val h = new AlarmHistory(spark, new DocStore(spark))
+    h.ingest(Seq(("d1", 1000L), ("d2", 1500L)).toDF("device_addr", "ts_epoch"))
+    assert(assertIndexed(h, Seq("d1", "d2"), 0L, 3600) == Set(("d1", 0L, 1L), ("d2", 0L, 1L)))
+    h.ingest(Seq(("d1", 2000L), ("d1", 7300L)).toDF("device_addr", "ts_epoch"))
+    assert(assertIndexed(h, Seq("d1", "d2"), 0L, 3600) ==
+      Set(("d1", 0L, 2L), ("d1", 7200L, 1L), ("d2", 0L, 1L)))
+  }
+
+  test("out-of-order timestamps are bucketed and cut off like ordered ones") {
+    import spark.implicits._
+    val h = new AlarmHistory(spark, new DocStore(spark))
+    h.ingest(Seq(("d1", 9000L), ("d1", 100L), ("d1", 7300L), ("d1", 3700L), ("d1", 50L))
+      .toDF("device_addr", "ts_epoch"))
+    h.ingest(Seq(("d1", 3601L), ("d1", 10L)).toDF("device_addr", "ts_epoch"))
+    assert(assertIndexed(h, Seq("d1"), 100L, 3600) ==
+      Set(("d1", 0L, 1L), ("d1", 3600L, 2L), ("d1", 7200L, 2L)))
+  }
+
+  test("documents inserted or loaded straight into the store reach the histogram") {
+    import spark.implicits._
+    val s = new DocStore(spark)
+    val h = new AlarmHistory(spark, s)
+    h.ingest(Seq(("d1", 100L)).toDF("device_addr", "ts_epoch"))
+    assertIndexed(h, Seq("d1", "d2"), 0L, 3600)
+    s.insert("alarms", """{"device_addr":"d2","ts_epoch":200}""")
+    s.insertAll("alarms", epochDocs(Seq(("d1", 4000L), ("d2", 4100L))))
+    assert(assertIndexed(h, Seq("d1", "d2"), 0L, 3600) ==
+      Set(("d1", 0L, 1L), ("d1", 3600L, 1L), ("d2", 0L, 1L), ("d2", 3600L, 1L)))
+
+    val dir = Files.createTempDirectory("alarm-history").toString
+    val other = new DocStore(spark)
+    other.insertAll("alarms", epochDocs(Seq(("d2", 8000L))))
+    other.save(dir)
+    s.load(dir)
+    assert(assertIndexed(h, Seq("d2"), 0L, 3600) ==
+      Set(("d2", 0L, 1L), ("d2", 3600L, 1L), ("d2", 7200L, 1L)))
+    // An ingest after outside writes still leaves the index complete.
+    s.insert("alarms", """{"device_addr":"d3","ts_epoch":300}""")
+    h.ingest(Seq(("d3", 400L)).toDF("device_addr", "ts_epoch"))
+    assert(assertIndexed(h, Seq("d3"), 0L, 3600) == Set(("d3", 0L, 2L)))
+  }
+
+  test("a dropped collection empties the histogram, and a refill replaces it") {
+    import spark.implicits._
+    val s = new DocStore(spark)
+    val h = new AlarmHistory(spark, s)
+    h.ingest(Seq(("d1", 100L), ("d1", 200L)).toDF("device_addr", "ts_epoch"))
+    assert(assertIndexed(h, Seq("d1"), 0L, 3600) == Set(("d1", 0L, 2L)))
+    s.drop("alarms")
+    assert(h.histogram(Seq("d1"), 0L).count() == 0)
+    // Same document count as before the drop, different documents.
+    s.insertAll("alarms", epochDocs(Seq(("d2", 100L), ("d2", 4000L))))
+    assert(assertIndexed(h, Seq("d1", "d2"), 0L, 3600) == Set(("d2", 0L, 1L), ("d2", 3600L, 1L)))
+    s.drop("alarms")
+    h.ingest(Seq(("d1", 5000L)).toDF("device_addr", "ts_epoch"))
+    assert(assertIndexed(h, Seq("d1", "d2"), 0L, 3600) == Set(("d1", 3600L, 1L)))
+  }
+
+  test("stored documents are byte-identical to df.toJSON") {
+    import spark.implicits._
+    val alarms = TestFixtures.sitasys(spark).limit(200).cache()
+    val mixed = Seq(
+      ("d1", 1000L, Some(1.5e-7), null, true, Seq(1, 2)),
+      ("d\"2\\", 2000L, None, "é \n ü", false, Seq.empty[Int]),
+    ).toDF("device_addr", "ts_epoch", "x", "note", "flag", "arr")
+      .withColumn("when", to_timestamp(lit("2016-01-01 12:34:56.789")))
+      .withColumn("day", to_date(lit("2016-02-29")))
+    for (df <- Seq(alarms, mixed)) {
+      val s = new DocStore(spark)
+      new AlarmHistory(spark, s).ingest(df)
+      val dir = Files.createTempDirectory("alarm-docs")
+      s.save(dir.toString)
+      val stored = new String(Files.readAllBytes(dir.resolve("alarms.jsonl")), StandardCharsets.UTF_8)
+      val withEpoch = if (df.columns.contains("ts_epoch")) df else df.withColumn("ts_epoch", unix_timestamp(col("ts")))
+      assert(stored == withEpoch.drop("ts").toJSON.collect().mkString("\n"))
+    }
+    alarms.unpersist()
+  }
+
+  test("the histogram query keeps its ts_epoch filter and count aggregate") {
+    val plan = history.histogram(someDevices, 1443657600L).queryExecution.optimizedPlan.toString
+    assert(plan.contains("ts_epoch") && plan.contains("count(1)") && plan.contains("Aggregate"), plan)
   }
 
   test("histogram of unknown devices is empty") {

@@ -101,6 +101,22 @@ class DocStoreSpec extends SparkSpec {
     assert(t.collectionNames.isEmpty)
   }
 
+  test("version changes on every write and never repeats after a drop") {
+    val s = fresh
+    val seen = scala.collection.mutable.ArrayBuffer(s.version("c"))
+    s.insert("c", """{"a": 1}"""); seen += s.version("c")
+    s.insertAll("c", Seq("""{"a": 2}""")); seen += s.version("c")
+    s.toDF("c").count(); s.count("c")
+    assert(s.version("c") == seen.last, "reads must not change the version")
+    s.drop("c"); seen += s.version("c")
+    s.insert("c", """{"a": 1}"""); seen += s.version("c")
+    val dir = Files.createTempDirectory("docstore").toString
+    s.save(dir); s.load(dir); seen += s.version("c")
+    assert(seen.distinct.size == seen.size)
+    s.insert("other", """{"b": 1}""")
+    assert(s.version("c") == seen.last, "collections are versioned independently")
+  }
+
   test("concurrent inserts are all retained") {
     val s = fresh
     val threads = (0 until 4).map { t =>
