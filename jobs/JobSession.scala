@@ -7,7 +7,7 @@ import org.apache.spark.sql.SparkSession
   * fraction of the paper's dataset volumes (default 0.1 ≈ bench scale). */
 object JobSession {
   def spark(app: String): SparkSession =
-    SparkSession.builder
+    SparkSession.builder()
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName(app)
       .config("spark.sql.shuffle.partitions", sys.env.getOrElse("SPARK_SHUFFLE_PARTITIONS", "64"))

@@ -1,7 +1,7 @@
 package repro.core
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions._
+import repro.data.AlarmSchema
 import repro.docstore.AlarmHistory
 import repro.streamlog.{AlarmEvent, AlarmSerializer, EmbeddedLog, LogConsumer}
 
@@ -24,13 +24,9 @@ final class EndToEnd(spark: SparkSession,
                      service: VerificationService,
                      historyBucketSec: Long = 3600) {
 
-  private val consumer = new LogConsumer(log)
+  import EndToEnd.BatchTiming
 
-  final case class BatchTiming(nAlarms: Long, nDevices: Long, nHistogramRows: Long,
-                               deserializeSec: Double, streamSec: Double,
-                               historySec: Double, mlSec: Double) {
-    def totalSec: Double = deserializeSec + streamSec + historySec + mlSec
-  }
+  private val consumer = new LogConsumer(log)
 
   def lag: Long = consumer.lag
 
@@ -47,18 +43,7 @@ final class EndToEnd(spark: SparkSession,
     if (events.isEmpty) { consumer.commit(); return BatchTiming(0, 0, 0, 0, 0, 0, 0) }
 
     // Stream part: batch DataFrame + distinct devices in the window.
-    val batchDf = spark.createDataset(events).toDF()
-      .withColumnRenamed("deviceAddr", "device_addr")
-      .withColumnRenamed("zip", "zip")
-      .withColumnRenamed("tsEpoch", "ts_epoch")
-      .withColumnRenamed("dayOfWeek", "day_of_week")
-      .withColumnRenamed("hourOfDay", "hour_of_day")
-      .withColumnRenamed("alarmType", "alarm_type")
-      .withColumnRenamed("propertyType", "property_type")
-      .withColumnRenamed("sensorType", "sensor_type")
-      .withColumnRenamed("swVersion", "sw_version")
-      .withColumnRenamed("durationSec", "duration_sec")
-      .cache()
+    val batchDf = AlarmSchema.eventFrame(spark, events).cache()
     val devices = batchDf.select("device_addr").distinct().as[String].collect()
     val t2 = System.nanoTime()
 
@@ -96,6 +81,12 @@ final class EndToEnd(spark: SparkSession,
 }
 
 object EndToEnd {
+  final case class BatchTiming(nAlarms: Long, nDevices: Long, nHistogramRows: Long,
+                               deserializeSec: Double, streamSec: Double,
+                               historySec: Double, mlSec: Double) {
+    def totalSec: Double = deserializeSec + streamSec + historySec + mlSec
+  }
+
   /** What the consumer hands on per alarm: the ARC needs the alarm id, its
     * confidence and the routing decision. */
   def verdicts(scored: DataFrame): DataFrame = scored.select("id", "p_true", "send_to_arc")

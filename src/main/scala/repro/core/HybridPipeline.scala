@@ -3,7 +3,7 @@ package repro.core
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 import repro.data.Gazetteer
-import repro.ml.{AlarmClassifier, CategoricalEncoder, Metrics}
+import repro.ml.AlarmClassifier
 import repro.textlytics.RiskFactors
 
 /** The hybrid approach of Sections 5.2/5.4 and Table 9: enrich the alarm

@@ -2,7 +2,7 @@ package repro.core
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
-import repro.data.{AlarmSynth, Gazetteer, IncidentSynth}
+import repro.data.{AlarmSchema, AlarmSynth, Gazetteer, IncidentSynth}
 import repro.docstore.{AlarmHistory, DocStore}
 import repro.ml.SparkClassifiers
 import repro.streamlog._
@@ -213,15 +213,8 @@ object Reports {
     val history = new AlarmHistory(spark, new DocStore(spark))
     history.ingest(labeled)
 
-    val base = labeled.limit(math.min(nStream, labeled.count().toInt)).collect().toIndexedSeq
-    val events = (0 until nStream).map { i =>
-      val r = base(i % base.size)
-      AlarmEvent(i.toLong, r.getAs[String]("device_addr"), r.getAs[String]("zip"),
-        r.getAs[java.sql.Timestamp]("ts").getTime / 1000, r.getAs[Int]("day_of_week"),
-        r.getAs[Int]("hour_of_day"), r.getAs[String]("alarm_type"),
-        r.getAs[String]("property_type"), r.getAs[String]("sensor_type"),
-        r.getAs[String]("sw_version"), r.getAs[Double]("duration_sec"))
-    }
+    val base = labeled.limit(nStream).collect().map(AlarmSchema.toEvent)
+    val events = (0 until nStream).map(i => base(i % base.length).copy(id = i.toLong))
 
     // Warm the Spark-side plans and the JIT with an untimed drain through a
     // separate consumer, so the measured drains reflect steady state rather

@@ -1,6 +1,9 @@
 package repro.data
 
 import java.sql.Timestamp
+import org.apache.spark.sql.{Column, DataFrame, Row, SparkSession}
+import org.apache.spark.sql.functions.col
+import repro.streamlog.AlarmEvent
 
 /** The generic alarm data type of the paper's "design for reusability" lesson
   * (Section 6.1): one schema describes all three datasets — Sitasys, London
@@ -58,4 +61,32 @@ object AlarmSchema {
     ("London", "ZIP code", "Date/TimeOfCall", "PropertyType", "PropertyCategory", "Incident Group"),
     ("San Francisco", "Zip code Of Incident", "ReceivedDtTm", "-", "Call Type", "Call Final Disposition"),
   )
+
+  /** The alarm-record codec: each [[AlarmEvent]] field and its column, in the
+    * order of the batch frame that the encoder, the history and the oracle read. */
+  val EventColumns: Seq[(String, String)] = Seq(
+    "id" -> "id", "deviceAddr" -> "device_addr", "zip" -> "zip", "tsEpoch" -> "ts_epoch",
+    "dayOfWeek" -> "day_of_week", "hourOfDay" -> "hour_of_day", "alarmType" -> "alarm_type",
+    "propertyType" -> "property_type", "sensorType" -> "sensor_type", "swVersion" -> "sw_version",
+    "durationSec" -> "duration_sec")
+
+  private val ColumnOf: Map[String, String] = EventColumns.toMap
+
+  /** Projects [[AlarmEvent]] fields under `prefix` (`""`, or `"alarm."` for a struct column). */
+  def eventColumns(prefix: String): Seq[Column] =
+    EventColumns.map { case (field, column) => col(prefix + field).as(column) }
+
+  /** The batch frame of a window of alarms. */
+  def eventFrame(spark: SparkSession, events: Seq[AlarmEvent]): DataFrame = {
+    import spark.implicits._
+    spark.createDataset(events).toDF().select(eventColumns(""): _*)
+  }
+
+  /** A [[LabeledAlarm]] row as the wire record; `tsEpoch` is `ts` in whole seconds. */
+  def toEvent(r: Row): AlarmEvent = {
+    def get[T](field: String): T = r.getAs[T](ColumnOf(field))
+    AlarmEvent(get("id"), get("deviceAddr"), get("zip"), r.getAs[Timestamp]("ts").getTime / 1000,
+      get("dayOfWeek"), get("hourOfDay"), get("alarmType"), get("propertyType"),
+      get("sensorType"), get("swVersion"), get("durationSec"))
+  }
 }

@@ -3,7 +3,8 @@ package repro.stream
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 import repro.core.VerificationService
-import repro.streamlog.{AlarmEvent, AlarmSerializer}
+import repro.data.AlarmSchema
+import repro.streamlog.AlarmSerializer
 
 /** Structured Streaming flavour of the verification pipeline.
   *
@@ -19,27 +20,20 @@ import repro.streamlog.{AlarmEvent, AlarmSerializer}
   */
 object VerificationStream {
 
+  /** Deserialize a `value: String` column into the batch frame's columns.
+    * `read` never yields null, so the struct is non-nullable, as in that frame. */
+  def parse(serialized: DataFrame, ser: AlarmSerializer): DataFrame = {
+    val read = udf((s: String) => ser.read(s)).asNonNullable()
+    serialized.select(read(col("value")).as("alarm")).select(AlarmSchema.eventColumns("alarm."): _*)
+  }
+
   /** Build the scored stream from a frame with a `value: String` column. */
   def build(serialized: DataFrame,
             ser: AlarmSerializer,
             service: VerificationService,
             riskByZip: Map[String, Double]): DataFrame = {
-    val parse = udf((s: String) => ser.read(s))
     val risk  = udf((zip: String) => riskByZip.getOrElse(zip, 0.0))
-    val parsed = serialized
-      .withColumn("alarm", parse(col("value")))
-      .select(
-        col("alarm.id").as("id"),
-        col("alarm.deviceAddr").as("device_addr"),
-        col("alarm.zip").as("zip"),
-        col("alarm.tsEpoch").as("ts_epoch"),
-        col("alarm.dayOfWeek").as("day_of_week"),
-        col("alarm.hourOfDay").as("hour_of_day"),
-        col("alarm.alarmType").as("alarm_type"),
-        col("alarm.propertyType").as("property_type"),
-        col("alarm.sensorType").as("sensor_type"),
-        col("alarm.swVersion").as("sw_version"),
-        col("alarm.durationSec").as("duration_sec"))
+    val parsed = parse(serialized, ser)
       .withColumn("a_priori_risk", risk(col("zip")))
     service.verify(parsed)
       .select("id", "device_addr", "zip", "alarm_type", "a_priori_risk",

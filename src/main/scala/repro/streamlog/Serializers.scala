@@ -29,16 +29,49 @@ trait AlarmSerializer extends Serializable {
 
 object Serializers {
 
+  // JSON's two-character escapes: `\` + ShortCodes(k) stands for ShortChars(k).
+  private val ShortChars = "\"\\\b\f\n\r\t"
+  private val ShortCodes = "\"\\bfnrt"
+  private val Hex = "0123456789abcdef"
+
+  /** Appends `s` as a JSON string literal (RFC 8259 §7): `"`, `\` and every
+    * control character below U+0020 are escaped. Runs of plain characters are
+    * copied in bulk. */
   private def esc(sb: java.lang.StringBuilder, s: String): Unit = {
     sb.append('"')
+    var run = 0
     var i = 0
     while (i < s.length) {
       val c = s.charAt(i)
-      if (c == '"' || c == '\\') sb.append('\\')
-      sb.append(c)
+      if (c < 0x20 || c == '"' || c == '\\') {
+        sb.append(s, run, i)
+        val k = ShortChars.indexOf(c)
+        if (k >= 0) sb.append('\\').append(ShortCodes(k))
+        else sb.append("\\u00").append(Hex(c >> 4)).append(Hex(c & 0xf))
+        run = i + 1
+      }
       i += 1
     }
-    sb.append('"')
+    sb.append(s, run, s.length).append('"')
+  }
+
+  /** Reads the JSON string whose opening quote is at `s(start)` into `sb`,
+    * decoding escapes; returns the index just past the closing quote. */
+  private def unquote(s: String, start: Int, sb: java.lang.StringBuilder): Int = {
+    var run = start + 1
+    var i = run
+    while (s.charAt(i) != '"') {
+      if (s.charAt(i) != '\\') i += 1
+      else {
+        sb.append(s, run, i)
+        val e = s.charAt(i + 1)
+        if (e == 'u') { sb.append(Integer.parseInt(s.substring(i + 2, i + 6), 16).toChar); i += 6 }
+        else { val k = ShortCodes.indexOf(e); sb.append(if (k >= 0) ShortChars(k) else e); i += 2 }
+        run = i
+      }
+    }
+    sb.append(s, run, i)
+    i + 1
   }
 
   /** Gson-analog: hand-specialized writer/reader, minimal allocation — fast
@@ -81,13 +114,8 @@ object Serializers {
         s.substring(st, i).toDouble
       }
       def readString(): String = {
-        i += 1 // opening quote
         val sb = new java.lang.StringBuilder(24)
-        while (s.charAt(i) != '"') {
-          if (s.charAt(i) == '\\') i += 1
-          sb.append(s.charAt(i)); i += 1
-        }
-        i += 1 // closing quote
+        i = unquote(s, i, sb)
         sb.toString
       }
       expect("{\"id\":");            val id  = readLong()
@@ -137,13 +165,9 @@ object Serializers {
       var i = 0
       def skipWs(): Unit = while (i < s.length && s.charAt(i).isWhitespace) i += 1
       def parseString(): String = {
-        require(s.charAt(i) == '"'); i += 1
-        val sb = new mutable.StringBuilder
-        while (s.charAt(i) != '"') {
-          if (s.charAt(i) == '\\') i += 1
-          sb.append(s.charAt(i)); i += 1
-        }
-        i += 1
+        require(s.charAt(i) == '"')
+        val sb = new java.lang.StringBuilder
+        i = unquote(s, i, sb)
         sb.toString
       }
       def parseNumber(): Any = {

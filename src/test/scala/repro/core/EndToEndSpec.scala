@@ -1,21 +1,12 @@
 package repro.core
 
-import org.apache.spark.sql.Row
 import repro.{SparkSpec, TestFixtures}
+import repro.data.AlarmSchema
 import repro.docstore.{AlarmHistory, DocStore}
 import repro.ml.SparkClassifiers
 import repro.streamlog._
 
 class EndToEndSpec extends SparkSpec {
-
-  private def toEvents(rows: Array[Row]): IndexedSeq[AlarmEvent] =
-    rows.toIndexedSeq.map { r =>
-      AlarmEvent(r.getAs[Long]("id"), r.getAs[String]("device_addr"), r.getAs[String]("zip"),
-        r.getAs[java.sql.Timestamp]("ts").getTime / 1000, r.getAs[Int]("day_of_week"),
-        r.getAs[Int]("hour_of_day"), r.getAs[String]("alarm_type"),
-        r.getAs[String]("property_type"), r.getAs[String]("sensor_type"),
-        r.getAs[String]("sw_version"), r.getAs[Double]("duration_sec"))
-    }
 
   private lazy val fixture = {
     val labeled = AlarmPipeline.labelByDuration(TestFixtures.sitasys(spark), 1)
@@ -24,7 +15,7 @@ class EndToEndSpec extends SparkSpec {
       SparkClassifiers.Logistic().fit(prepared.train))
     val history = new AlarmHistory(spark, new DocStore(spark))
     history.ingest(labeled.limit(500))
-    val events = toEvents(labeled.limit(900).collect())
+    val events = labeled.limit(900).collect().toIndexedSeq.map(AlarmSchema.toEvent)
     (service, history, events)
   }
 

@@ -4,6 +4,7 @@ import org.apache.spark.sql.execution.streaming.runtime.MemoryStream
 import org.apache.spark.sql.functions._
 import repro.{SparkSpec, TestFixtures}
 import repro.core.{AlarmPipeline, VerificationService}
+import repro.data.AlarmSchema
 import repro.ml.SparkClassifiers
 import repro.streamlog.{AlarmEvent, Serializers}
 
@@ -14,13 +15,7 @@ class VerificationStreamSpec extends SparkSpec {
     val prepared = AlarmPipeline.prepare(labeled, AlarmPipeline.featuresFor("sitasys"))
     val svc = new VerificationService(prepared.encoder,
       SparkClassifiers.Logistic().fit(prepared.train))
-    val evs = labeled.limit(300).collect().toIndexedSeq.map { r =>
-      AlarmEvent(r.getAs[Long]("id"), r.getAs[String]("device_addr"), r.getAs[String]("zip"),
-        r.getAs[java.sql.Timestamp]("ts").getTime / 1000, r.getAs[Int]("day_of_week"),
-        r.getAs[Int]("hour_of_day"), r.getAs[String]("alarm_type"),
-        r.getAs[String]("property_type"), r.getAs[String]("sensor_type"),
-        r.getAs[String]("sw_version"), r.getAs[Double]("duration_sec"))
-    }
+    val evs = labeled.limit(300).collect().toIndexedSeq.map(AlarmSchema.toEvent)
     val risks = TestFixtures.cities.flatMap(_.zips).map(z => z.zip -> z.latentRisk).toMap
     (svc, evs, risks)
   }
@@ -68,16 +63,9 @@ class VerificationStreamSpec extends SparkSpec {
   }
 
   test("streaming scores equal batch scores for the same alarms") {
-    import spark.implicits._
     val streamed = runStream(Seq(events.take(80)), "s5")
       .select("id", "p_true").collect().map(r => r.getLong(0) -> r.getDouble(1)).toMap
-    val batchDf = spark.createDataset(events.take(80)).toDF()
-      .withColumnRenamed("deviceAddr", "device_addr").withColumnRenamed("tsEpoch", "ts_epoch")
-      .withColumnRenamed("dayOfWeek", "day_of_week").withColumnRenamed("hourOfDay", "hour_of_day")
-      .withColumnRenamed("alarmType", "alarm_type").withColumnRenamed("propertyType", "property_type")
-      .withColumnRenamed("sensorType", "sensor_type").withColumnRenamed("swVersion", "sw_version")
-      .withColumnRenamed("durationSec", "duration_sec")
-    val batch = service.verify(batchDf)
+    val batch = service.verify(AlarmSchema.eventFrame(spark, events.take(80)))
       .select("id", "p_true").collect().map(r => r.getLong(0) -> r.getDouble(1)).toMap
     assert(streamed.keySet == batch.keySet)
     streamed.foreach { case (id, p) => assert(math.abs(p - batch(id)) < 1e-9) }

@@ -4,16 +4,19 @@ import org.scalacheck.Gen
 import org.scalacheck.rng.Seed
 import org.scalatest.funsuite.AnyFunSuite
 
-class SerializersSpec extends AnyFunSuite {
+object SerializersSpec {
 
-  private val sample = AlarmEvent(42L, "00:1a:2b:3c:4d:00", "4001", 1451606400L,
-    3, 14, "fire", "residential", "smoke_v1", "2.0.1", 12.5)
-
-  private val safeString: Gen[String] =
-    Gen.nonEmptyListOf(Gen.oneOf(Gen.alphaNumChar, Gen.oneOf(':', '.', '-', '_', ' ', '"', '\\')))
+  /** Strings that stress the codec: JSON's special characters, every control
+    * character and supplementary-plane code points (surrogate pairs). */
+  val safeString: Gen[String] =
+    Gen.nonEmptyListOf(Gen.oneOf(
+      Gen.alphaNumChar.map(_.toString),
+      Gen.oneOf(":", ".", "-", "_", " ", "/", "\"", "\\"),
+      Gen.choose('\u0000', '\u001f').map(_.toString),
+      Gen.choose(0x10000, 0x10ffff).map(cp => new String(Character.toChars(cp)))))
       .map(_.mkString)
 
-  private val genEvent: Gen[AlarmEvent] = for {
+  val genEvent: Gen[AlarmEvent] = for {
     id <- Gen.chooseNum(0L, Long.MaxValue / 2)
     da <- safeString; zip <- safeString
     ts <- Gen.chooseNum(0L, 2000000000L)
@@ -23,8 +26,15 @@ class SerializersSpec extends AnyFunSuite {
   } yield AlarmEvent(id, da, zip, ts, dw, hd, at, pt, st, sw, du)
 
   /** Deterministic sample batch from the ScalaCheck generator. */
-  private val randomEvents: Seq[AlarmEvent] =
+  val randomEvents: Seq[AlarmEvent] =
     Gen.listOfN(200, genEvent).pureApply(Gen.Parameters.default, Seed(12345L))
+}
+
+class SerializersSpec extends AnyFunSuite {
+  import SerializersSpec.randomEvents
+
+  private val sample = AlarmEvent(42L, "00:1a:2b:3c:4d:00", "4001", 1451606400L,
+    3, 14, "fire", "residential", "smoke_v1", "2.0.1", 12.5)
 
   for (ser <- Serializers.all) {
     test(s"${ser.name}: round-trips the sample alarm") {
@@ -40,6 +50,19 @@ class SerializersSpec extends AnyFunSuite {
       assert(ser.read(ser.write(tricky)) == tricky)
     }
 
+    test(s"${ser.name}: escapes control characters per RFC 8259") {
+      val ctl = sample.copy(alarmType = "a\nb\tc\r\b\f\u0000\u001f")
+      val s = ser.write(ctl)
+      assert(s.forall(_ >= ' '), s)
+      assert(s.contains("\"a\\nb\\tc\\r\\b\\f\\u0000\\u001f\""), s)
+      assert(ser.read(s) == ctl)
+    }
+
+    test(s"${ser.name}: decodes JSON escapes, including \\uXXXX and surrogate pairs") {
+      val s = ser.write(sample).replace("\"fire\"", "\"f\\u0069re\\n\\/\\ud83d\\ude92\"")
+      assert(ser.read(s) == sample.copy(alarmType = "fire\n/\ud83d\ude92"))
+    }
+
     test(s"${ser.name}: output is valid single-line JSON under 1KB (Fig. 4 format)") {
       val s = ser.write(sample)
       assert(s.startsWith("{") && s.endsWith("}"))
@@ -49,8 +72,10 @@ class SerializersSpec extends AnyFunSuite {
   }
 
   test("both serializers emit the identical wire format") {
-    assert(Serializers.FastJsonSerializer.write(sample)
-      == Serializers.ReflectiveJsonSerializer.write(sample))
+    (sample +: randomEvents).foreach { a =>
+      assert(Serializers.FastJsonSerializer.write(a)
+        == Serializers.ReflectiveJsonSerializer.write(a))
+    }
   }
 
   test("the serializers are wire-compatible in both directions") {
