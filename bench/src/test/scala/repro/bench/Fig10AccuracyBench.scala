@@ -14,14 +14,12 @@ import repro.core.Reports
 class Fig10AccuracyBench extends SparkSpec {
 
   private lazy val cells = BenchEnv.accuracyCells(spark)
-  private def acc(ds: String, algo: String): Double =
-    cells.find(c => c.dataset == ds && c.algorithm == algo).get.accuracy
   private def best(ds: String): Double =
     cells.filter(_.dataset == ds).map(_.accuracy).max
 
   test("Fig. 10: measured accuracies") {
     BenchEnv.section(s"Fig. 10: verification accuracy at sf=${BenchEnv.sf}")
-    println(Reports.formatAccuracyTable(cells))
+    println(Reports.formatGrid(cells, trainingTime = false))
     assert(cells.forall(c => c.accuracy > 0.5 && c.accuracy <= 1.0))
   }
 

@@ -22,7 +22,7 @@ class Table8TrainingTimeBench extends SparkSpec {
 
   test("Table 8: measured training times") {
     BenchEnv.section(s"Table 8: training time [sec] at sf=${BenchEnv.sf}")
-    println(Reports.formatTrainingTable(cells))
+    println(Reports.formatGrid(cells, trainingTime = true))
     assert(cells.size == 12)
     assert(cells.forall(_.trainTimeSec > 0))
   }

@@ -11,7 +11,7 @@ object Fig10Accuracy {
     val sf = JobSession.sfArg(args)
     val cells = Reports.accuracyAndTraining(spark, sf, Gazetteer.universe())
     println(s"Fig. 10: verification accuracy at sf=$sf")
-    println(Reports.formatAccuracyTable(cells))
+    println(Reports.formatGrid(cells, trainingTime = false))
     spark.stop()
   }
 }

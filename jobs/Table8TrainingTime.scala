@@ -11,9 +11,9 @@ object Table8TrainingTime {
     val sf = JobSession.sfArg(args)
     val cells = Reports.accuracyAndTraining(spark, sf, Gazetteer.universe())
     println(s"Table 8: training time [sec] at sf=$sf of the paper's volumes")
-    println(Reports.formatTrainingTable(cells))
+    println(Reports.formatGrid(cells, trainingTime = true))
     println("Fig. 10 companion: verification accuracy")
-    println(Reports.formatAccuracyTable(cells))
+    println(Reports.formatGrid(cells, trainingTime = false))
     spark.stop()
   }
 }

@@ -32,7 +32,8 @@ object AlarmPipeline {
 
   def prepare(df: DataFrame, features: Seq[String],
               trainFraction: Double = 0.5, seed: Long = 99): Prepared = {
-    val Array(tr, te) = df.randomSplit(Array(trainFraction, 1 - trainFraction), seed)
+    val split = df.randomSplit(Array(trainFraction, 1 - trainFraction), seed)
+    val (tr, te) = (split(0), split(1))
     val enc = CategoricalEncoder.fit(tr, features)
     val train = enc.transform(tr).select("feat_idx", "features", "label").cache()
     val test  = enc.transform(te).select("feat_idx", "features", "label").cache()
@@ -40,17 +41,14 @@ object AlarmPipeline {
     Prepared(train, test, enc)
   }
 
-  /** The four algorithms of Section 5.3 with budget knobs for single-node
-    * runs (paper values live in [[Hyperparams]]; overrides are reported in
-    * EXPERIMENTS.md). */
-  def algorithms(rfMaxDepth: Int = Hyperparams.rf.maxDepth,
-                 rfNumTrees: Int = Hyperparams.rf.numTrees,
-                 svmMaxIter: Int = 100,
-                 dnnEpochs: Int = 40): Seq[AlarmClassifier] = Seq(
-    SparkClassifiers.RandomForest(Hyperparams.RandomForestParams(rfMaxDepth, rfNumTrees)),
-    SparkClassifiers.Svm(maxIterOverride = Some(svmMaxIter)),
+  /** The four algorithms of Section 5.3 at the single-node training budget
+    * `knobs` (paper values live in [[Hyperparams]]; the trims are reported
+    * in EXPERIMENTS.md). */
+  def algorithms(knobs: Reports.MlKnobs): Seq[AlarmClassifier] = Seq(
+    SparkClassifiers.RandomForest(Hyperparams.RandomForestParams(knobs.rfMaxDepth, knobs.rfNumTrees)),
+    SparkClassifiers.Svm(Hyperparams.svm.copy(maxIter = knobs.svmMaxIter)),
     SparkClassifiers.Logistic(),
-    Mlp.DnnClassifier(Mlp.Config(epochs = dnnEpochs)),
+    Mlp.DnnClassifier(Mlp.Config(epochs = knobs.dnnEpochs)),
   )
 
   final case class EvalResult(algorithm: String, accuracy: Double,

@@ -24,18 +24,17 @@ object Reports {
   val sweepKnobs: MlKnobs = MlKnobs(rfMaxDepth = 10, rfNumTrees = 30,
                                     svmMaxIter = 30, dnnEpochs = 80)
 
+  /** The three datasets of Fig. 10 / Table 8, each with its Table 1
+    * feature list. */
   def datasets(spark: SparkSession, sf: Double,
-               cities: Vector[Gazetteer.City]): Seq[(String, DataFrame)] = Seq(
-    "Sitasys" -> AlarmPipeline.labelByDuration(AlarmSynth.sitasys(spark, sf, cities = cities), 1),
-    "LFB"     -> AlarmSynth.london(spark, sf, cities = cities),
-    "SF"      -> AlarmSynth.sanFrancisco(spark, sf, cities = cities),
+               cities: Vector[Gazetteer.City]): Seq[(String, DataFrame, Seq[String])] = Seq(
+    ("Sitasys", AlarmPipeline.labelByDuration(AlarmSynth.sitasys(spark, sf, cities = cities), 1),
+      AlarmPipeline.featuresFor("sitasys")),
+    ("LFB", AlarmSynth.london(spark, sf, cities = cities), AlarmPipeline.featuresFor("london")),
+    ("SF", AlarmSynth.sanFrancisco(spark, sf, cities = cities), AlarmPipeline.featuresFor("sf")),
   )
 
-  private def featuresKey(name: String): String = name match {
-    case "Sitasys" => "sitasys"
-    case "LFB"     => "london"
-    case "SF"      => "sf"
-  }
+  private val Algorithms = Seq("RF", "SVM", "LR", "DNN")
 
   // -------------------------------------------------------------------------
   // Fig. 10 (accuracy per algorithm × dataset) + Table 8 (training time)
@@ -47,38 +46,27 @@ object Reports {
   def accuracyAndTraining(spark: SparkSession, sf: Double, cities: Vector[Gazetteer.City],
                           knobs: MlKnobs = MlKnobs()): Seq[AccuracyCell] =
     for {
-      (name, df) <- datasets(spark, sf, cities)
-      prepared = AlarmPipeline.prepare(df, AlarmPipeline.featuresFor(featuresKey(name)))
-      clf <- AlarmPipeline.algorithms(knobs.rfMaxDepth, knobs.rfNumTrees,
-                                      knobs.svmMaxIter, knobs.dnnEpochs)
+      (name, df, features) <- datasets(spark, sf, cities)
+      prepared = AlarmPipeline.prepare(df, features)
+      clf <- AlarmPipeline.algorithms(knobs)
     } yield {
       val r = AlarmPipeline.evaluate(clf, prepared)
       AccuracyCell(name, r.algorithm, r.accuracy, r.trainTimeSec)
     }
 
-  def formatAccuracyTable(cells: Seq[AccuracyCell]): String = {
-    val datasetsOrder = Seq("Sitasys", "LFB", "SF")
-    val algos = Seq("RF", "SVM", "LR", "DNN")
+  /** The algorithm × dataset grid of Fig. 10 (`trainingTime = false`:
+    * accuracy %) or of Table 8 (`trainingTime = true`: seconds). */
+  def formatGrid(cells: Seq[AccuracyCell], trainingTime: Boolean): String = {
     val byKey = cells.map(c => (c.dataset, c.algorithm) -> c).toMap
     val sb = new StringBuilder
-    sb.append(f"${"Algorithm"}%-10s ${"Sitasys"}%12s ${"LFB"}%12s ${"SF"}%12s   (accuracy %%)\n")
-    for (a <- algos) {
+    sb.append(f"${"Algorithm"}%-10s ${"Sitasys"}%12s ${"LFB"}%12s ${"SF"}%12s   ")
+      .append(if (trainingTime) "(training time [s])\n" else "(accuracy %)\n")
+    for (a <- Algorithms) {
       sb.append(f"$a%-10s")
-      for (d <- datasetsOrder) sb.append(f" ${byKey((d, a)).accuracy * 100}%11.2f%%")
-      sb.append('\n')
-    }
-    sb.toString
-  }
-
-  def formatTrainingTable(cells: Seq[AccuracyCell]): String = {
-    val datasetsOrder = Seq("Sitasys", "LFB", "SF")
-    val algos = Seq("RF", "SVM", "LR", "DNN")
-    val byKey = cells.map(c => (c.dataset, c.algorithm) -> c).toMap
-    val sb = new StringBuilder
-    sb.append(f"${"Algorithm"}%-10s ${"Sitasys"}%12s ${"LFB"}%12s ${"SF"}%12s   (training time [s])\n")
-    for (a <- algos) {
-      sb.append(f"$a%-10s")
-      for (d <- datasetsOrder) sb.append(f" ${byKey((d, a)).trainTimeSec}%12.2f")
+      for (d <- Seq("Sitasys", "LFB", "SF")) {
+        val c = byKey((d, a))
+        sb.append(if (trainingTime) f" ${c.trainTimeSec}%12.2f" else f" ${c.accuracy * 100}%11.2f%%")
+      }
       sb.append('\n')
     }
     sb.toString
@@ -99,8 +87,7 @@ object Reports {
       dt <- deltas
       prepared = AlarmPipeline.prepare(AlarmPipeline.labelByDuration(raw, dt),
         AlarmPipeline.featuresFor("sitasys"))
-      clf <- AlarmPipeline.algorithms(knobs.rfMaxDepth, knobs.rfNumTrees,
-                                      knobs.svmMaxIter, knobs.dnnEpochs)
+      clf <- AlarmPipeline.algorithms(knobs)
     } yield DeltaTCell(dt, clf.name, AlarmPipeline.evaluate(clf, prepared).accuracy)
     raw.unpersist()
     cells
@@ -108,13 +95,12 @@ object Reports {
 
   def formatDeltaT(cells: Seq[DeltaTCell]): String = {
     val deltas = cells.map(_.deltaTMin).distinct.sorted
-    val algos = Seq("RF", "SVM", "LR", "DNN")
     val byKey = cells.map(c => (c.deltaTMin, c.algorithm) -> c.accuracy).toMap
     val sb = new StringBuilder
-    sb.append(f"${"delta t"}%-10s" + algos.map(a => f"$a%10s").mkString + "   (accuracy %)\n")
+    sb.append(f"${"delta t"}%-10s" + Algorithms.map(a => f"$a%10s").mkString + "   (accuracy %)\n")
     for (dt <- deltas) {
       sb.append(f"${dt}%-10.0f")
-      for (a <- algos) sb.append(f"${byKey((dt, a)) * 100}%9.2f%%")
+      for (a <- Algorithms) sb.append(f"${byKey((dt, a)) * 100}%9.2f%%")
       sb.append('\n')
     }
     sb.toString

@@ -30,16 +30,4 @@ object Metrics {
     ).collect()(0)
     r.getDouble(0)
   }
-
-  /** (tp, fp, tn, fn) confusion counts, treating 1 = true alarm. */
-  def confusion(scored: DataFrame): (Long, Long, Long, Long) = {
-    import org.apache.spark.sql.functions._
-    val r = scored.agg(
-      sum(when(col("prediction") === 1.0 && col("label") === 1.0, 1L).otherwise(0L)),
-      sum(when(col("prediction") === 1.0 && col("label") === 0.0, 1L).otherwise(0L)),
-      sum(when(col("prediction") === 0.0 && col("label") === 0.0, 1L).otherwise(0L)),
-      sum(when(col("prediction") === 0.0 && col("label") === 1.0, 1L).otherwise(0L))
-    ).collect()(0)
-    (r.getLong(0), r.getLong(1), r.getLong(2), r.getLong(3))
-  }
 }

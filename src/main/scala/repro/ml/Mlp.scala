@@ -39,7 +39,17 @@ object Mlp {
 
     /** Softmax class probabilities (length 2) for a sparse one-hot input. */
     def forward(active: Array[Int]): Array[Double] = {
-      val z1 = new Array[Double](h1)
+      val p = new Array[Double](2)
+      forwardInto(active, new Array(h1), new Array(h1), new Array(h2), new Array(h2), p)
+      p
+    }
+
+    /** The one forward pass, shared with the trainer: writes the pre-ReLU
+      * (`z1`, `z2`) and post-ReLU (`a1`, `a2`) activations of the two hidden
+      * layers and the softmax class probabilities `p` into the caller's
+      * buffers. */
+    def forwardInto(active: Array[Int], z1: Array[Double], a1: Array[Double],
+                    z2: Array[Double], a2: Array[Double], p: Array[Double]): Unit = {
       System.arraycopy(b1, 0, z1, 0, h1)
       var a = 0
       while (a < active.length) {
@@ -49,26 +59,24 @@ object Mlp {
         a += 1
       }
       var j = 0
-      while (j < h1) { if (z1(j) < 0) z1(j) = 0; j += 1 } // ReLU
-      val z2 = new Array[Double](h2)
+      while (j < h1) { a1(j) = if (z1(j) < 0) 0 else z1(j); j += 1 } // ReLU
       var k = 0
       while (k < h2) {
         var s = b2(k); var i = 0
-        while (i < h1) { s += z1(i) * w2(i * h2 + k); i += 1 }
-        z2(k) = if (s < 0) 0 else s // ReLU
+        while (i < h1) { s += a1(i) * w2(i * h2 + k); i += 1 }
+        z2(k) = s; a2(k) = if (s < 0) 0 else s // ReLU
         k += 1
       }
-      val z3 = new Array[Double](2)
       var c = 0
       while (c < 2) {
         var s = b3(c); var i = 0
-        while (i < h2) { s += z2(i) * w3(i * 2 + c); i += 1 }
-        z3(c) = s
+        while (i < h2) { s += a2(i) * w3(i * 2 + c); i += 1 }
+        p(c) = s
         c += 1
       }
-      val m  = math.max(z3(0), z3(1))
-      val e0 = math.exp(z3(0) - m); val e1 = math.exp(z3(1) - m)
-      Array(e0 / (e0 + e1), e1 / (e0 + e1))
+      val m  = math.max(p(0), p(1))
+      val e0 = math.exp(p(0) - m); val e1 = math.exp(p(1) - m)
+      p(0) = e0 / (e0 + e1); p(1) = e1 / (e0 + e1)
     }
 
     def pTrue(active: Array[Int]): Double = forward(active)(1)
@@ -143,7 +151,7 @@ object Mlp {
 
     val z1 = new Array[Double](h1); val a1 = new Array[Double](h1)
     val z2 = new Array[Double](h2); val a2 = new Array[Double](h2)
-    val z3 = new Array[Double](2)
+    val p = new Array[Double](2)
     val d1 = new Array[Double](h1); val d2 = new Array[Double](h2); val d3 = new Array[Double](2)
 
     for (_ <- 0 until cfg.epochs) {
@@ -157,46 +165,18 @@ object Mlp {
         var s = start
         while (s < end) {
           val (x, y) = data(idx(s))
-          // ---- forward (keeping pre/post activations) ----
-          System.arraycopy(b1, 0, z1, 0, h1)
-          var a = 0
-          while (a < x.length) {
-            val base = x(a) * h1
-            var j = 0
-            while (j < h1) { z1(j) += w1(base + j); j += 1 }
-            touched += x(a)
-            a += 1
-          }
-          var j = 0
-          while (j < h1) { a1(j) = if (z1(j) < 0) 0 else z1(j); j += 1 }
-          var k = 0
-          while (k < h2) {
-            var sum = b2(k); var q = 0
-            while (q < h1) { sum += a1(q) * w2(q * h2 + k); q += 1 }
-            z2(k) = sum; a2(k) = if (sum < 0) 0 else sum
-            k += 1
-          }
-          var c = 0
-          while (c < 2) {
-            var sum = b3(c); var q = 0
-            while (q < h2) { sum += a2(q) * w3(q * 2 + c); q += 1 }
-            z3(c) = sum
-            c += 1
-          }
-          val m  = math.max(z3(0), z3(1))
-          val e0 = math.exp(z3(0) - m); val e1 = math.exp(z3(1) - m)
-          val p0 = e0 / (e0 + e1); val p1 = e1 / (e0 + e1)
+          net.forwardInto(x, z1, a1, z2, a2, p)
           // ---- backward ----
-          d3(0) = p0 - (if (y == 0) 1.0 else 0.0)
-          d3(1) = p1 - (if (y == 1) 1.0 else 0.0)
-          c = 0
+          d3(0) = p(0) - (if (y == 0) 1.0 else 0.0)
+          d3(1) = p(1) - (if (y == 1) 1.0 else 0.0)
+          var c = 0
           while (c < 2) {
             gb3(c) += d3(c)
             var q = 0
             while (q < h2) { g3(q * 2 + c) += a2(q) * d3(c); q += 1 }
             c += 1
           }
-          k = 0
+          var k = 0
           while (k < h2) {
             var sum = 0.0; var cc = 0
             while (cc < 2) { sum += w3(k * 2 + cc) * d3(cc); cc += 1 }
@@ -216,11 +196,12 @@ object Mlp {
             gb1(q) += d1(q)
             q += 1
           }
-          a = 0
+          var a = 0
           while (a < x.length) {
             val base = x(a) * h1
             var jj = 0
             while (jj < h1) { g1(base + jj) += d1(jj); jj += 1 }
+            touched += x(a)
             a += 1
           }
           s += 1

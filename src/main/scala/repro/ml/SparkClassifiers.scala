@@ -1,7 +1,7 @@
 package repro.ml
 
-import org.apache.spark.ml.classification.{LinearSVC, LinearSVCModel, LogisticRegression,
-  LogisticRegressionModel, RandomForestClassificationModel, RandomForestClassifier}
+import org.apache.spark.ml.classification.{ClassificationModel, LinearSVC, LogisticRegression,
+  ProbabilisticClassificationModel, RandomForestClassifier}
 import org.apache.spark.ml.linalg.Vector
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
@@ -12,28 +12,32 @@ import org.apache.spark.sql.functions._
   */
 object SparkClassifiers {
 
-  private val pTrueFromProba = udf((v: Vector) => v(1))
+  private val pTrueFromProba  = udf((v: Vector) => v(1))
+  private val pTrueFromMargin = udf((v: Vector) => 1.0 / (1.0 + math.exp(-v(1))))
+
+  /** A fitted Spark ML model behind the shared [[AlarmModel]] API. The only
+    * per-algorithm part is the source of `p_true`: the class-1 probability
+    * of a probabilistic model (RF, LR), else the class-1 margin squashed
+    * through a sigmoid (LinearSVC has no probability output). */
+  final case class SparkModel(name: String, m: ClassificationModel[_, _]) extends AlarmModel {
+    def transform(df: DataFrame): DataFrame = {
+      val pTrue = m match {
+        case _: ProbabilisticClassificationModel[_, _] => pTrueFromProba(col("probability"))
+        case _                                         => pTrueFromMargin(col("rawPrediction"))
+      }
+      m.transform(df).withColumn("p_true", pTrue).drop("rawPrediction", "probability")
+    }
+  }
 
   /** Random Forest (Table 3). */
   final case class RandomForest(params: Hyperparams.RandomForestParams = Hyperparams.rf,
                                 seed: Long = 42) extends AlarmClassifier {
     val name = "RF"
-    def fit(train: DataFrame): AlarmModel = {
-      val m = new RandomForestClassifier()
-        .setMaxDepth(params.maxDepth)
-        .setNumTrees(params.numTrees)
-        .setSeed(seed)
-        .fit(train)
-      RfModel(m)
-    }
-  }
-
-  final case class RfModel(m: RandomForestClassificationModel) extends AlarmModel {
-    val name = "RF"
-    def transform(df: DataFrame): DataFrame =
-      m.transform(df)
-        .withColumn("p_true", pTrueFromProba(col("probability")))
-        .drop("rawPrediction", "probability")
+    def fit(train: DataFrame): AlarmModel = SparkModel(name, new RandomForestClassifier()
+      .setMaxDepth(params.maxDepth)
+      .setNumTrees(params.numTrees)
+      .setSeed(seed)
+      .fit(train))
   }
 
   /** Logistic Regression (Table 5). A touch of L2 keeps the high-cardinality
@@ -43,47 +47,22 @@ object SparkClassifiers {
   final case class Logistic(params: Hyperparams.LogisticRegressionParams = Hyperparams.lr,
                             regParam: Double = 1e-3) extends AlarmClassifier {
     val name = "LR"
-    def fit(train: DataFrame): AlarmModel = {
-      val m = new LogisticRegression()
-        .setMaxIter(params.maxIter)
-        .setTol(params.tol)
-        .setRegParam(regParam)
-        .fit(train)
-      LrModel(m)
-    }
-  }
-
-  final case class LrModel(m: LogisticRegressionModel) extends AlarmModel {
-    val name = "LR"
-    def transform(df: DataFrame): DataFrame =
-      m.transform(df)
-        .withColumn("p_true", pTrueFromProba(col("probability")))
-        .drop("rawPrediction", "probability")
+    def fit(train: DataFrame): AlarmModel = SparkModel(name, new LogisticRegression()
+      .setMaxIter(params.maxIter)
+      .setTol(params.tol)
+      .setRegParam(regParam)
+      .fit(train))
   }
 
   /** Linear SVM (Table 4). The paper used mllib's SVMWithSGD (stepSize /
     * miniBatchFraction are SGD knobs); Spark 4 retired that API, so we map
     * onto `LinearSVC` (same linear kernel + squared-L2/hinge objective) and
-    * keep maxIter/regParam. The margin is squashed through a sigmoid to get
-    * the confidence `p_true` (LinearSVC has no probability output). */
-  final case class Svm(params: Hyperparams.SvmParams = Hyperparams.svm,
-                       maxIterOverride: Option[Int] = None) extends AlarmClassifier {
+    * keep maxIter/regParam. */
+  final case class Svm(params: Hyperparams.SvmParams = Hyperparams.svm) extends AlarmClassifier {
     val name = "SVM"
-    def fit(train: DataFrame): AlarmModel = {
-      val m = new LinearSVC()
-        .setMaxIter(maxIterOverride.getOrElse(params.maxIter))
-        .setRegParam(params.regParam)
-        .fit(train)
-      SvmModel(m)
-    }
-  }
-
-  final case class SvmModel(m: LinearSVCModel) extends AlarmModel {
-    val name = "SVM"
-    private val pTrueFromMargin = udf((v: Vector) => 1.0 / (1.0 + math.exp(-v(1))))
-    def transform(df: DataFrame): DataFrame =
-      m.transform(df)
-        .withColumn("p_true", pTrueFromMargin(col("rawPrediction")))
-        .drop("rawPrediction")
+    def fit(train: DataFrame): AlarmModel = SparkModel(name, new LinearSVC()
+      .setMaxIter(params.maxIter)
+      .setRegParam(params.regParam)
+      .fit(train))
   }
 }

@@ -17,8 +17,9 @@ final class LogProducer(log: EmbeddedLog, ser: AlarmSerializer) {
     events.length / ((System.nanoTime() - t0) / 1e9)
   }
 
-  /** Send at approximately `ratePerSec`, pacing in 10ms slices. */
+  /** Send at approximately `ratePerSec` (> 0), pacing in 10ms slices. */
   def sendPaced(events: IndexedSeq[AlarmEvent], ratePerSec: Double): Double = {
+    require(ratePerSec > 0, s"ratePerSec must be positive, got $ratePerSec")
     val t0 = System.nanoTime()
     var i = 0
     while (i < events.length) {

@@ -36,8 +36,8 @@ object Serializers {
 
   /** Appends `s` as a JSON string literal (RFC 8259 §7): `"`, `\` and every
     * control character below U+0020 are escaped. Runs of plain characters are
-    * copied in bulk. */
-  private def esc(sb: java.lang.StringBuilder, s: String): Unit = {
+    * copied in bulk. Returns `sb`. */
+  private def esc(sb: java.lang.StringBuilder, s: String): java.lang.StringBuilder = {
     sb.append('"')
     var run = 0
     var i = 0
@@ -56,20 +56,26 @@ object Serializers {
   }
 
   /** Reads the JSON string whose opening quote is at `s(start)` into `sb`,
-    * decoding escapes; returns the index just past the closing quote. */
+    * decoding escapes; returns the index just past the closing quote. An
+    * unterminated string raises `IllegalArgumentException`. */
   private def unquote(s: String, start: Int, sb: java.lang.StringBuilder): Int = {
+    def unterminated(): Nothing = throw new IllegalArgumentException(s"unterminated string: $s")
     var run = start + 1
     var i = run
-    while (s.charAt(i) != '"') {
+    while (i < s.length && s.charAt(i) != '"') {
       if (s.charAt(i) != '\\') i += 1
       else {
         sb.append(s, run, i)
-        val e = s.charAt(i + 1)
-        if (e == 'u') { sb.append(Integer.parseInt(s.substring(i + 2, i + 6), 16).toChar); i += 6 }
+        val e = if (i + 1 < s.length) s.charAt(i + 1) else unterminated()
+        if (e == 'u') {
+          if (i + 6 > s.length) unterminated()
+          sb.append(Integer.parseInt(s.substring(i + 2, i + 6), 16).toChar); i += 6
+        }
         else { val k = ShortCodes.indexOf(e); sb.append(if (k >= 0) ShortChars(k) else e); i += 2 }
         run = i
       }
     }
+    if (i >= s.length) unterminated()
     sb.append(s, run, i)
     i + 1
   }
@@ -97,26 +103,44 @@ object Serializers {
     }
 
     def read(s: String): AlarmEvent = {
-      // Specialized scanner over the fixed field order written above.
+      // Specialized scanner over the fixed field order written above. Any
+      // other layout (whitespace, reordered keys, truncation) is rejected
+      // with IllegalArgumentException rather than decoded into a wrong alarm.
       var i = 0
-      def expect(lit: String): Unit = { i += lit.length }
+      def bad(what: String): Nothing =
+        throw new IllegalArgumentException(s"not a $name record, $what at $i: $s")
+      def expect(lit: String): Unit =
+        if (s.startsWith(lit, i)) i += lit.length else bad(s"expected $lit")
       def readLong(): Long = {
-        var v = 0L; var neg = false
-        if (s.charAt(i) == '-') { neg = true; i += 1 }
+        val neg = i < s.length && s.charAt(i) == '-'
+        if (neg) i += 1
+        val st = i
+        var v = 0L
         while (i < s.length && s.charAt(i) >= '0' && s.charAt(i) <= '9') {
           v = v * 10 + (s.charAt(i) - '0'); i += 1
         }
+        if (i == st) bad("expected a digit")
         if (neg) -v else v
       }
       def readDouble(): Double = {
         val st = i
-        while (i < s.length && s.charAt(i) != ',' && s.charAt(i) != '}') i += 1
+        while (i < s.length && { val c = s.charAt(i); c >= '0' && c <= '9' || c == '.' || c == '-' || c == 'E' })
+          i += 1
+        if (i == st) bad("expected a number")
         s.substring(st, i).toDouble
       }
       def readString(): String = {
-        val sb = new java.lang.StringBuilder(24)
-        i = unquote(s, i, sb)
-        sb.toString
+        if (i >= s.length || s.charAt(i) != '"') bad("expected a string")
+        // Fast path: no escape before the closing quote.
+        var j = i + 1
+        while (j < s.length && s.charAt(j) != '"' && s.charAt(j) != '\\') j += 1
+        if (j < s.length && s.charAt(j) == '"') {
+          val v = s.substring(i + 1, j); i = j + 1; v
+        } else {
+          val sb = new java.lang.StringBuilder(24)
+          i = unquote(s, i, sb)
+          sb.toString
+        }
       }
       expect("{\"id\":");            val id  = readLong()
       expect(",\"deviceAddr\":");    val da  = readString()
@@ -129,6 +153,8 @@ object Serializers {
       expect(",\"sensorType\":");    val st2 = readString()
       expect(",\"swVersion\":");     val sw  = readString()
       expect(",\"durationSec\":");   val du  = readDouble()
+      expect("}")
+      if (i != s.length) bad("trailing characters")
       AlarmEvent(id, da, zp, ts, dw, hd, at, pt, st2, sw, du)
     }
   }
@@ -202,10 +228,11 @@ object Serializers {
       val args: Array[AnyRef] = fieldNames.zip(ctor.getParameterTypes.toVector).map {
         case (n, t) =>
           val raw = m.getOrElse(n, throw new IllegalArgumentException(s"missing field $n"))
+          def bad: Nothing = throw new IllegalArgumentException(s"field $n: unexpected value $raw")
           (t.getName match {
-            case "long"             => java.lang.Long.valueOf(raw match { case l: Long => l; case d: Double => d.toLong; case s: String => s.toLong })
-            case "int"              => java.lang.Integer.valueOf(raw match { case l: Long => l.toInt; case d: Double => d.toInt; case s: String => s.toInt })
-            case "double"           => java.lang.Double.valueOf(raw match { case d: Double => d; case l: Long => l.toDouble; case s: String => s.toDouble })
+            case "long"             => java.lang.Long.valueOf(raw match { case l: Long => l; case d: Double => d.toLong; case s: String => s.toLong; case _ => bad })
+            case "int"              => java.lang.Integer.valueOf(raw match { case l: Long => l.toInt; case d: Double => d.toInt; case s: String => s.toInt; case _ => bad })
+            case "double"           => java.lang.Double.valueOf(raw match { case d: Double => d; case l: Long => l.toDouble; case s: String => s.toDouble; case _ => bad })
             case "java.lang.String" => raw.toString
             case other              => throw new IllegalArgumentException(s"unsupported type $other")
           }): AnyRef

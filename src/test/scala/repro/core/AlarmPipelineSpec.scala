@@ -3,6 +3,7 @@ package repro.core
 import org.apache.spark.sql.functions._
 import repro.{SparkSpec, TestFixtures}
 import repro.data.AlarmSchema
+import repro.ml.{Hyperparams, Mlp, SparkClassifiers}
 
 class AlarmPipelineSpec extends SparkSpec {
 
@@ -55,18 +56,27 @@ class AlarmPipelineSpec extends SparkSpec {
   }
 
   test("algorithms returns RF, SVM, LR, DNN in the paper's lineup") {
-    assert(AlarmPipeline.algorithms().map(_.name).toSet == Set("RF", "SVM", "LR", "DNN"))
+    assert(AlarmPipeline.algorithms(Reports.MlKnobs()).map(_.name) == Seq("RF", "SVM", "LR", "DNN"))
+  }
+
+  test("algorithms applies every training-budget knob") {
+    val knobs = Reports.MlKnobs(rfMaxDepth = 7, rfNumTrees = 11, svmMaxIter = 13, dnnEpochs = 17)
+    assert(AlarmPipeline.algorithms(knobs) == Seq(
+      SparkClassifiers.RandomForest(Hyperparams.RandomForestParams(maxDepth = 7, numTrees = 11)),
+      SparkClassifiers.Svm(Hyperparams.svm.copy(maxIter = 13)),
+      SparkClassifiers.Logistic(),
+      Mlp.DnnClassifier(Mlp.Config(epochs = 17))))
   }
 
   test("evaluate reports accuracy and training time for LR on Sitasys") {
-    val res = AlarmPipeline.evaluate(repro.ml.SparkClassifiers.Logistic(), prepared)
+    val res = AlarmPipeline.evaluate(SparkClassifiers.Logistic(), prepared)
     assert(res.trainTimeSec > 0)
     assert(res.accuracy > 0.75, s"LR accuracy ${res.accuracy}")
   }
 
   test("DNN beats chance on Sitasys at unit-test scale") {
     val res = AlarmPipeline.evaluate(
-      repro.ml.Mlp.DnnClassifier(repro.ml.Mlp.Config(epochs = 15)), prepared)
+      Mlp.DnnClassifier(Mlp.Config(epochs = 15)), prepared)
     assert(res.accuracy > 0.7, s"DNN accuracy ${res.accuracy}")
   }
 
@@ -74,7 +84,7 @@ class AlarmPipelineSpec extends SparkSpec {
     val base = math.max(
       prepared.test.agg(avg("label")).collect()(0).getDouble(0),
       1 - prepared.test.agg(avg("label")).collect()(0).getDouble(0))
-    val res = AlarmPipeline.evaluate(repro.ml.SparkClassifiers.Logistic(), prepared)
+    val res = AlarmPipeline.evaluate(SparkClassifiers.Logistic(), prepared)
     assert(res.accuracy > base + 0.1)
   }
 }

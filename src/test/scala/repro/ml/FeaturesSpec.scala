@@ -28,7 +28,8 @@ class FeaturesSpec extends SparkSpec {
   test("indices stay within the feature space and respect column blocks") {
     val out = enc.transform(df).select("feat_idx").collect()
     out.foreach { r =>
-      val Seq(zi, ai) = r.getSeq[Int](0).toSeq
+      val idx = r.getSeq[Int](0)
+      val (zi, ai) = (idx(0), idx(1))
       assert(zi >= 0 && zi < 3)
       assert(ai >= 3 && ai < 7)
     }
@@ -55,10 +56,12 @@ class FeaturesSpec extends SparkSpec {
   }
 
   test("the sparse vector mirrors the active indices with 1.0 weights") {
-    val v = enc.vectorOf(Seq("4001", "intrusion"))
-    assert(v.size == enc.dim)
-    assert(v.indices.toSeq == enc.indicesOf(Seq("4001", "intrusion")).sorted.toSeq)
-    assert(v.values.forall(_ == 1.0))
+    enc.transform(df).select("feat_idx", "features").collect().foreach { r =>
+      val v = r.getAs[SparseVector](1)
+      assert(v.size == enc.dim)
+      assert(v.indices.toSeq == r.getSeq[Int](0).sorted)
+      assert(v.values.forall(_ == 1.0))
+    }
   }
 
   test("transform adds features vector and double label") {

@@ -1,5 +1,6 @@
 package repro.ml
 
+import org.apache.spark.ml.linalg.Vector
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 import repro.SparkSpec
@@ -25,7 +26,7 @@ class SparkClassifiersSpec extends SparkSpec {
   private val classifiers: Seq[AlarmClassifier] = Seq(
     SparkClassifiers.RandomForest(Hyperparams.RandomForestParams(maxDepth = 5, numTrees = 10)),
     SparkClassifiers.Logistic(),
-    SparkClassifiers.Svm(maxIterOverride = Some(30)),
+    SparkClassifiers.Svm(Hyperparams.svm.copy(maxIter = 30)),
     Mlp.DnnClassifier(Mlp.Config(epochs = 15)),
   )
 
@@ -56,6 +57,20 @@ class SparkClassifiersSpec extends SparkSpec {
     }
   }
 
+  test("each Spark wrapper's p_true is its model's probability(1), or sigmoid(rawPrediction(1)) for the SVM") {
+    for (clf <- classifiers.filterNot(_.name == "DNN")) {
+      val model = clf.fit(encoded).asInstanceOf[SparkClassifiers.SparkModel]
+      val pTrue = model.transform(encoded).select("p_true").collect().map(_.getDouble(0))
+      val raw = model.m.transform(encoded)
+      val expected =
+        if (clf.name == "SVM") raw.select("rawPrediction").collect()
+          .map(r => 1.0 / (1.0 + math.exp(-r.getAs[Vector](0)(1))))
+        else raw.select("probability").collect().map(_.getAs[Vector](0)(1))
+      assert(pTrue.length == encoded.count(), clf.name)
+      assert(pTrue.toSeq == expected.toSeq, clf.name)
+    }
+  }
+
   test("classifier names match the paper's abbreviations") {
     assert(classifiers.map(_.name) == Seq("RF", "LR", "SVM", "DNN"))
   }
@@ -63,16 +78,6 @@ class SparkClassifiersSpec extends SparkSpec {
   test("Metrics.accuracy computes the fraction of matches") {
     val df = Seq((1.0, 1.0), (0.0, 1.0), (1.0, 1.0), (0.0, 0.0)).toDF("prediction", "label")
     assert(Metrics.accuracy(df) == 0.75)
-  }
-
-  test("Metrics.confusion counts tp/fp/tn/fn") {
-    val df = Seq(
-      (1.0, 1.0), (1.0, 1.0),  // tp
-      (1.0, 0.0),              // fp
-      (0.0, 0.0), (0.0, 0.0), (0.0, 0.0), // tn
-      (0.0, 1.0)               // fn
-    ).toDF("prediction", "label")
-    assert(Metrics.confusion(df) == ((2L, 1L, 3L, 1L)))
   }
 
   test("Metrics.accuracy accepts integer labels") {

@@ -85,6 +85,40 @@ class SerializersSpec extends AnyFunSuite {
     }
   }
 
+  /** `a` as the writer lays it out: (key, raw JSON value) in wire order. A
+    * key marker `,"key":` cannot occur inside an escaped string value, where
+    * every quote follows a backslash. */
+  private def wireFields(a: AlarmEvent): Seq[(String, String)] = {
+    val s = Serializers.FastJsonSerializer.write(a)
+    val keys = a.productElementNames.toSeq
+    var from = 0
+    val spans = keys.zipWithIndex.map { case (k, n) =>
+      val mark = (if (n == 0) "{\"" else ",\"") + k + "\":"
+      val at = s.indexOf(mark, from)
+      from = at + mark.length
+      (at, from)
+    }
+    keys.indices.map { n =>
+      keys(n) -> s.substring(spans(n)._2, if (n + 1 < keys.size) spans(n + 1)._1 else s.length - 1)
+    }
+  }
+
+  private def render(fields: Seq[(String, String)], space: String): String =
+    fields.map { case (k, v) => "\"" + k + "\":" + space + v }.mkString("{", "," + space, "}")
+
+  test("records off the writer's layout: the reflective reader decodes them, the hand-rolled one rejects them") {
+    val fast = Serializers.FastJsonSerializer
+    (sample +: randomEvents).foreach { a =>
+      val s = fast.write(a)
+      assert(render(wireFields(a), "") == s)
+      for (other <- Seq(render(wireFields(a), " "), render(wireFields(a).reverse, ""))) {
+        assert(Serializers.ReflectiveJsonSerializer.read(other) == a)
+        intercept[IllegalArgumentException] { fast.read(other) }
+      }
+      for (n <- 0 until s.length) intercept[IllegalArgumentException] { fast.read(s.substring(0, n)) }
+    }
+  }
+
   test("reflective reader rejects documents with missing fields") {
     intercept[Exception] {
       Serializers.ReflectiveJsonSerializer.read("""{"id": 1}""")
