@@ -9,7 +9,7 @@ import repro.core.Reports
   * the consumer rate. */
 class Fig11SerializerBench extends AnyFunSuite {
 
-  private lazy val results = Reports.serializerBench(n = 200000)
+  private lazy val results = Reports.serializerBench()
   private def byName(fragment: String) = results.find(_.serializer.contains(fragment)).get
 
   test("Fig. 11: measured serializer throughput") {

@@ -12,9 +12,7 @@ import repro.core.Reports
   */
 class Fig12EndToEndBench extends SparkSpec {
 
-  private lazy val results =
-    Reports.endToEndBench(spark, BenchEnv.sf, BenchEnv.cities, nStream = 60000,
-      partitionCounts = Seq(1, 8))
+  private lazy val results = Reports.endToEndBench(spark, BenchEnv.sf, BenchEnv.cities)
   private def at(parts: Int) = results.find(_.partitions == parts).get
 
   test("Fig. 12: measured end-to-end breakdown and throughput") {

@@ -1,15 +1,15 @@
 package repro.bench
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.core.Reports
 import repro.data.AlarmSchema
-import repro.jobs.Table1Features
 
 /** Table 1 — feature correspondence across the three datasets. */
 class Table1FeaturesBench extends AnyFunSuite {
 
   test("Table 1: feature roles per dataset match the paper") {
     BenchEnv.section("Table 1: Features of the three data sets")
-    println(Table1Features.render())
+    println(Reports.table1())
     assert(AlarmSchema.Table1.size == 3)
     assert(AlarmSchema.Table1.map(_._1) == Seq("Sitasys", "London", "San Francisco"))
     val sf = AlarmSchema.Table1.find(_._1 == "San Francisco").get

@@ -21,11 +21,7 @@ import repro.core.{HybridPipeline, Reports}
   */
 class Table9HybridBench extends SparkSpec {
 
-  // Incident corpus scaled by *density* (reports per city), not volume: our
-  // universe has 320/1027 of the paper's cities, so matching the paper's
-  // ~4.9 reports/city needs incidentSf ≈ 3×sf (see EXPERIMENTS.md).
-  private lazy val results =
-    Reports.hybrid(spark, BenchEnv.sf, BenchEnv.cities, incidentSf = 3 * BenchEnv.sf, runs = 3)
+  private lazy val results = Reports.hybrid(spark, BenchEnv.sf, BenchEnv.cities)
   private def cell(s: String, v: String): Double =
     results.find(r => r.scenario == s && r.variant == v).get.accuracy
   private def bestRisk(s: String): Double =

@@ -39,7 +39,7 @@ object HybridPipeline {
       .withColumn("arf_bucket", ntile(10).over(w).cast("string"))
       .withColumn("nrf_bucket", least(floor(col("nrf") * 10), lit(9)).cast("string"))
       .withColumn("brf_bucket", col("brf").cast("int").cast("string"))
-      .select("zip", "n_zips_in_city_marker", "arf_bucket", "nrf_bucket", "brf_bucket")
+      .select("zip", "n_zips_in_city", "arf_bucket", "nrf_bucket", "brf_bucket")
   }
 
   /** Restrict alarms to a scenario's population. */
@@ -50,7 +50,7 @@ object HybridPipeline {
       case _         => base
     }
     scenario match {
-      case "c" | "d" => typed.where(col("n_zips_in_city_marker") === 1)
+      case "c" | "d" => typed.where(col("n_zips_in_city") === 1)
       case _         => typed
     }
   }
@@ -62,10 +62,7 @@ object HybridPipeline {
           cities: Vector[Gazetteer.City], mkClassifier: () => AlarmClassifier,
           features: Seq[String], runs: Int = 3, seedBase: Long = 1000): Seq[CellResult] = {
 
-    val risk = RiskFactors.compute(spark, incidents, cities)
-      .join(RiskFactors.gazetteerDf(spark, cities).select("zip", "n_zips_in_city"), Seq("zip"))
-      .withColumnRenamed("n_zips_in_city", "n_zips_in_city_marker")
-    val buckets = riskBuckets(risk).cache()
+    val buckets = riskBuckets(RiskFactors.compute(spark, incidents, cities)).cache()
     buckets.count()
 
     for {

@@ -4,13 +4,15 @@ import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 import repro.data.{AlarmSchema, AlarmSynth, Gazetteer, IncidentSynth}
 import repro.docstore.{AlarmHistory, DocStore}
-import repro.ml.SparkClassifiers
+import repro.ml.{Hyperparams, SparkClassifiers}
 import repro.streamlog._
 import repro.textlytics.IncidentPipeline
 
 /** Result generators behind every table/figure of the evaluation section.
-  * Each returns plain data (plus a formatted rendering) so the bench suites
-  * can assert on the shape while the `jobs/` entrypoints just print.
+  * Each returns plain data plus a formatted rendering; the bench suite of
+  * each table prints the rendering and asserts on the shape. The sizes of
+  * each run (alarm counts, partitions, Δt grid, training budget) are fixed
+  * here; only the scale factor `sf` varies.
   */
 object Reports {
 
@@ -37,18 +39,71 @@ object Reports {
   private val Algorithms = Seq("RF", "SVM", "LR", "DNN")
 
   // -------------------------------------------------------------------------
+  // Table 1: feature correspondence across the three datasets
+  // -------------------------------------------------------------------------
+
+  def table1(): String = {
+    val sb = new StringBuilder
+    sb.append(f"${"Dataset"}%-15s ${"Location"}%-22s ${"Time"}%-17s ${"Type of Location"}%-17s " +
+      f"${"Incident Type"}%-17s ${"Label"}%-22s\n")
+    AlarmSchema.Table1.foreach { case (d, loc, t, tl, it, l) =>
+      sb.append(f"$d%-15s $loc%-22s $t%-17s $tl%-17s $it%-17s $l%-22s\n")
+    }
+    sb.toString
+  }
+
+  // -------------------------------------------------------------------------
+  // Tables 3–7: hyperparameters of the four algorithms
+  // -------------------------------------------------------------------------
+
+  def tables3to7(): String = {
+    val rf = Hyperparams.rf; val svm = Hyperparams.svm
+    val lr = Hyperparams.lr; val dnn = Hyperparams.dnn; val arch = Hyperparams.arch
+    s"""Table 3: Parameters for Random Forest
+       |  Maximum depth of a tree            ${rf.maxDepth}
+       |  Number of trees to train           ${rf.numTrees}
+       |
+       |Table 4: Parameters for Support Vector Machine
+       |  Maximum number of iterations       ${svm.maxIter}
+       |  Step size                          ${svm.stepSize}
+       |  Mini batch fraction                ${svm.miniBatchFraction}
+       |  Regularization parameter           ${svm.regParam}
+       |  Kernel                             ${svm.kernel}
+       |  Update Function                    ${svm.updateFunction}
+       |
+       |Table 5: Parameters for Logistic Regression
+       |  Maximum number of iterations       ${lr.maxIter}
+       |  Convergence tolerance              ${lr.tol}
+       |
+       |Table 6: Parameters for Deep Neural Network
+       |  Maximum number of epochs           ${dnn.maxEpochs}
+       |  Mini batch size                    ${dnn.miniBatchSize}
+       |  Loss function                      ${dnn.lossFunction}
+       |  Update function                    ${dnn.updateFunction}
+       |  Learning rate                      ${dnn.learningRate}
+       |  Momentum                           ${dnn.momentum}
+       |
+       |Table 7: Architecture of Deep Neural Network
+       |  Input:    one-hot width (data-dependent; 803 for Sitasys in the paper)
+       |  Hidden 1: ${arch.hidden1} nodes, fully connected, ${arch.hiddenActivation}
+       |  Hidden 2: ${arch.hidden2} nodes, fully connected, ${arch.hiddenActivation}
+       |  Output:   ${arch.output} nodes, fully connected, ${arch.outputActivation}
+       |""".stripMargin
+  }
+
+  // -------------------------------------------------------------------------
   // Fig. 10 (accuracy per algorithm × dataset) + Table 8 (training time)
   // -------------------------------------------------------------------------
 
   final case class AccuracyCell(dataset: String, algorithm: String,
                                 accuracy: Double, trainTimeSec: Double)
 
-  def accuracyAndTraining(spark: SparkSession, sf: Double, cities: Vector[Gazetteer.City],
-                          knobs: MlKnobs = MlKnobs()): Seq[AccuracyCell] =
+  def accuracyAndTraining(spark: SparkSession, sf: Double,
+                          cities: Vector[Gazetteer.City]): Seq[AccuracyCell] =
     for {
       (name, df, features) <- datasets(spark, sf, cities)
       prepared = AlarmPipeline.prepare(df, features)
-      clf <- AlarmPipeline.algorithms(knobs)
+      clf <- AlarmPipeline.algorithms(MlKnobs())
     } yield {
       val r = AlarmPipeline.evaluate(clf, prepared)
       AccuracyCell(name, r.algorithm, r.accuracy, r.trainTimeSec)
@@ -78,16 +133,17 @@ object Reports {
 
   final case class DeltaTCell(deltaTMin: Double, algorithm: String, accuracy: Double)
 
-  def deltaTSweep(spark: SparkSession, sf: Double, cities: Vector[Gazetteer.City],
-                  deltas: Seq[Double] = Seq(1, 3, 5, 10),
-                  knobs: MlKnobs = sweepKnobs): Seq[DeltaTCell] = {
+  /** Accuracy of the four algorithms at Δt = 1, 3, 5 and 10 min (the
+    * paper's 1–10 min range), trained with `sweepKnobs`. */
+  def deltaTSweep(spark: SparkSession, sf: Double,
+                  cities: Vector[Gazetteer.City]): Seq[DeltaTCell] = {
     val raw = AlarmSynth.sitasys(spark, sf, cities = cities).cache()
     raw.count()
     val cells = for {
-      dt <- deltas
+      dt <- Seq(1.0, 3.0, 5.0, 10.0)
       prepared = AlarmPipeline.prepare(AlarmPipeline.labelByDuration(raw, dt),
         AlarmPipeline.featuresFor("sitasys"))
-      clf <- AlarmPipeline.algorithms(knobs)
+      clf <- AlarmPipeline.algorithms(sweepKnobs)
     } yield DeltaTCell(dt, clf.name, AlarmPipeline.evaluate(clf, prepared).accuracy)
     raw.unpersist()
     cells
@@ -149,14 +205,16 @@ object Reports {
 
   final case class SerializerResult(serializer: String, producerRate: Double, consumerRate: Double)
 
-  def serializerBench(n: Int = 200000, partitions: Int = 8): Seq[SerializerResult] = {
-    val events = (0 until n).map(i => AlarmEvent(i.toLong, f"00:1a:${i % 97}%02x:00:00:00",
+  /** Produces and consumes 200K alarms through an 8-partition log, once per
+    * serializer. */
+  def serializerBench(): Seq[SerializerResult] = {
+    val events = (0 until 200000).map(i => AlarmEvent(i.toLong, f"00:1a:${i % 97}%02x:00:00:00",
       f"${4000 + i % 500}%04d", 1451606400L + i, 1 + i % 7, i % 24, "fire", "residential",
       "smoke_v1", "2.0.1", 12.5))
     Serializers.all.map { ser =>
       // Warmup to get JIT out of the measurement.
       events.take(20000).foreach(e => ser.read(ser.write(e)))
-      val log = new EmbeddedLog(partitions)
+      val log = new EmbeddedLog(8)
       val producer = new LogProducer(log, ser)
       val pRate = producer.sendAll(events)
       val consumer = new LogConsumer(log)
@@ -188,9 +246,11 @@ object Reports {
                                   deserializeFrac: Double, streamFrac: Double,
                                   historyFrac: Double, mlFrac: Double)
 
-  def endToEndBench(spark: SparkSession, sf: Double, cities: Vector[Gazetteer.City],
-                    nStream: Int = 50000, partitionCounts: Seq[Int] = Seq(1, 8),
-                    batchSize: Int = 25000): Seq[EndToEndResult] = {
+  /** Streams 60K alarms through an unpartitioned (1) and a partitioned (8)
+    * log, in micro-batches of 25K alarms spread over the partitions. */
+  def endToEndBench(spark: SparkSession, sf: Double,
+                    cities: Vector[Gazetteer.City]): Seq[EndToEndResult] = {
+    val nStream = 60000
     val labeled = AlarmPipeline.labelByDuration(AlarmSynth.sitasys(spark, sf, cities = cities), 1)
       .cache()
     val prepared = AlarmPipeline.prepare(labeled, AlarmPipeline.featuresFor("sitasys"))
@@ -210,11 +270,11 @@ object Reports {
     new EndToEnd(spark, warmLog, Serializers.FastJsonSerializer, history, service)
       .drain(maxPerPartition = 1000)
 
-    partitionCounts.map { parts =>
+    Seq(1, 8).map { parts =>
       val log = new EmbeddedLog(parts)
       new LogProducer(log, Serializers.FastJsonSerializer).sendAll(events)
       val e2e = new EndToEnd(spark, log, Serializers.FastJsonSerializer, history, service)
-      val (timings, rate) = e2e.drain(maxPerPartition = math.max(1, batchSize / parts))
+      val (timings, rate) = e2e.drain(maxPerPartition = 25000 / parts)
       val total = timings.map(_.totalSec).sum
       EndToEndResult(parts, timings.map(_.nAlarms).sum, rate,
         timings.map(_.deserializeSec).sum / total, timings.map(_.streamSec).sum / total,
@@ -238,14 +298,18 @@ object Reports {
   // Table 9: hybrid approach
   // -------------------------------------------------------------------------
 
-  def hybrid(spark: SparkSession, sf: Double, cities: Vector[Gazetteer.City],
-             incidentSf: Double, runs: Int = 3): Seq[HybridPipeline.CellResult] = {
+  /** The Table 9 grid, each cell averaged over 3 train/test splits. The
+    * incident corpus is scaled by density (reports per city), not volume:
+    * the gazetteer has 320 of the paper's 1,027 cities, so matching the
+    * paper's ~4.9 reports per city takes 3 × `sf` (see EXPERIMENTS.md). */
+  def hybrid(spark: SparkSession, sf: Double,
+             cities: Vector[Gazetteer.City]): Seq[HybridPipeline.CellResult] = {
     import spark.implicits._
     val alarms = AlarmPipeline.labelByDuration(AlarmSynth.sitasys(spark, sf, cities = cities), 1)
-    val (msgs, _) = IncidentSynth.corpus(cities, sf = incidentSf)
+    val (msgs, _) = IncidentSynth.corpus(cities, sf = 3 * sf)
     val annotated = IncidentPipeline.annotateAll(msgs, cities)
     val incidentsDf = spark.createDataset(annotated).toDF()
     HybridPipeline.run(spark, alarms, incidentsDf, cities,
-      () => SparkClassifiers.Logistic(), AlarmPipeline.featuresFor("sitasys"), runs = runs)
+      () => SparkClassifiers.Logistic(), AlarmPipeline.featuresFor("sitasys"), runs = 3)
   }
 }

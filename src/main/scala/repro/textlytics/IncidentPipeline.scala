@@ -1,16 +1,10 @@
 package repro.textlytics
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions._
 import repro.data.{Gazetteer, IncidentSynth}
 
 /** The incident-history pipeline of Figure 5: collect raw messages, filter
   * relevant topics (fire / intrusion), annotate language, date and location,
   * and persist the result (into the document store, Section 4.2(4)).
-  *
-  * Exposed both as plain Scala (for driver-side corpora) and as DataFrame
-  * transformations built from text-analytics UDFs, so the same logic can run
-  * inside Structured Streaming.
   */
 object IncidentPipeline {
 
@@ -33,25 +27,5 @@ object IncidentPipeline {
                   cities: Vector[Gazetteer.City]): Vector[AnnotatedIncident] = {
     val loc = new Extractors.LocationMatcher(cities)
     msgs.flatMap(annotateOne(_, loc))
-  }
-
-  /** DataFrame flavour: input columns (msg_id, source, text, meta_date,
-    * meta_location) → annotated incidents, via UDFs over the same logic. */
-  def annotateDf(spark: SparkSession, raw: DataFrame,
-                 cities: Vector[Gazetteer.City]): DataFrame = {
-    val loc = new Extractors.LocationMatcher(cities)
-    val topicU = udf((t: String) => TopicFilter.topic(t).orNull)
-    val langU  = udf((t: String) => LangId.detect(t).orNull)
-    val cityU  = udf((meta: String, t: String) => Option(meta).orElse(loc.extract(t)).orNull)
-    val dateU  = udf((meta: String, t: String) =>
-      Option(meta).orElse(Extractors.extractDate(t).map(_.toString)).orNull)
-    raw
-      .withColumn("topic", topicU(col("text")))
-      .withColumn("lang", langU(col("text")))
-      .withColumn("city", cityU(col("meta_location"), col("text")))
-      .withColumn("date", dateU(col("meta_date"), col("text")))
-      .where(col("topic").isNotNull && col("lang").isNotNull &&
-             col("city").isNotNull && col("date").isNotNull)
-      .select("msg_id", "topic", "lang", "city", "date")
   }
 }

@@ -33,8 +33,8 @@ object RiskFactors {
   def incidentCounts(incidents: DataFrame): DataFrame =
     incidents.groupBy("city").agg(count(lit(1)).as("n_incidents"))
 
-  /** Compute (zip, city, n_incidents, arf, nrf, brf) for every ZIP whose city
-    * occurs in the incident history. */
+  /** Compute (zip, city, n_zips_in_city, n_incidents, arf, nrf, brf) for
+    * every ZIP whose city occurs in the incident history. */
   def compute(spark: SparkSession, incidents: DataFrame,
               cities: Vector[Gazetteer.City]): DataFrame = {
     val gaz    = gazetteerDf(spark, cities)
@@ -54,6 +54,6 @@ object RiskFactors {
       .withColumn("brf", when(col("n_incidents") >= lit(p75), 1.0).otherwise(0.0))
 
     gaz.join(withFactors.select("city", "n_incidents", "arf", "nrf", "brf"), Seq("city"))
-      .select("zip", "city", "n_incidents", "arf", "nrf", "brf")
+      .select("zip", "city", "n_zips_in_city", "n_incidents", "arf", "nrf", "brf")
   }
 }

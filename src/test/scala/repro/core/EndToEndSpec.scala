@@ -1,5 +1,11 @@
 package repro.core
 
+import java.util.concurrent.ConcurrentLinkedQueue
+import org.apache.spark.sql.execution.QueryExecution
+import org.apache.spark.sql.util.QueryExecutionListener
+import org.scalatest.concurrent.Eventually._
+import org.scalatest.time.SpanSugar._
+import scala.jdk.CollectionConverters._
 import repro.{SparkSpec, TestFixtures}
 import repro.data.AlarmSchema
 import repro.docstore.{AlarmHistory, DocStore}
@@ -65,6 +71,34 @@ class EndToEndSpec extends SparkSpec {
     assert(udfs(scored.select("p_true", "prediction").groupBy().count()) == 0)
     assert(timed.collect().length == 100)
     batch.unpersist()
+  }
+
+  test("the timed history query computes the per-bucket counts") {
+    val (_, producer, e2e, events) = mkPipeline(2)
+    producer.sendAll(events.take(400))
+    val collected = new ConcurrentLinkedQueue[String]()
+    val listener = new QueryExecutionListener {
+      def onSuccess(funcName: String, qe: QueryExecution, durationNs: Long): Unit =
+        if (funcName == "collect") { collected.add(qe.optimizedPlan.toString); () }
+      def onFailure(funcName: String, qe: QueryExecution, exception: Exception): Unit = ()
+    }
+    spark.listenerManager.register(listener)
+    try {
+      assert(e2e.consumeBatch().nHistogramRows > 0)
+      // Listener events arrive asynchronously.
+      eventually(timeout(10.seconds)) {
+        assert(collected.asScala.exists(_.contains("count(1) AS n_alarms")),
+          collected.asScala.mkString("\n---\n"))
+      }
+    } finally spark.listenerManager.unregister(listener)
+    // Why the timer must collect: a count() over the same query drops the
+    // aggregate's per-bucket counts.
+    val (_, history, _) = fixture
+    val window = events.take(400)
+    val hist = history.histogram(window.map(_.deviceAddr), window.map(_.tsEpoch).min - 30L * 86400)
+    assert(hist.queryExecution.optimizedPlan.toString.contains("count(1) AS n_alarms"))
+    val counted = hist.groupBy().count().queryExecution.optimizedPlan.toString
+    assert(!counted.contains("n_alarms"), counted)
   }
 
   test("exactly-once: a second drain consumes nothing") {

@@ -13,10 +13,8 @@ class HybridPipelineSpec extends SparkSpec {
     val annotated = IncidentPipeline.annotateAll(TestFixtures.incidents._1, TestFixtures.cities)
     spark.createDataset(annotated).toDF().cache()
   }
-  private lazy val risk = RiskFactors.compute(spark, incidentsDf, TestFixtures.cities)
-    .join(RiskFactors.gazetteerDf(spark, TestFixtures.cities).select("zip", "n_zips_in_city"), Seq("zip"))
-    .withColumnRenamed("n_zips_in_city", "n_zips_in_city_marker")
-  private lazy val buckets = HybridPipeline.riskBuckets(risk).cache()
+  private lazy val buckets =
+    HybridPipeline.riskBuckets(RiskFactors.compute(spark, incidentsDf, TestFixtures.cities)).cache()
 
   test("risk buckets have the expected ranges") {
     val arfB = buckets.select("arf_bucket").distinct().collect().map(_.getString(0).toInt)
@@ -45,7 +43,7 @@ class HybridPipelineSpec extends SparkSpec {
   test("scenarios (c) and (d) keep only single-ZIP locations") {
     Seq("c", "d").foreach { s =>
       val bad = HybridPipeline.scenarioAlarms(alarms, buckets, s)
-        .where(col("n_zips_in_city_marker") =!= 1).count()
+        .where(col("n_zips_in_city") =!= 1).count()
       assert(bad == 0)
     }
   }

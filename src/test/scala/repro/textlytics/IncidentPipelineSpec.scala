@@ -40,14 +40,6 @@ class IncidentPipelineSpec extends SparkSpec {
     assert(annotated.map(_.msg_id).distinct.size == annotated.size)
   }
 
-  test("DataFrame pipeline (UDF flavour) agrees with the driver-side pipeline") {
-    import spark.implicits._
-    val rawDf = spark.createDataset(msgs).toDF()
-    val df = IncidentPipeline.annotateDf(spark, rawDf, TestFixtures.cities)
-    val fromDf = df.as[IncidentPipeline.AnnotatedIncident].collect().toVector.sortBy(_.msg_id)
-    assert(fromDf == annotated.sortBy(_.msg_id))
-  }
-
   test("metadata wins over text extraction") {
     val m = repro.data.IncidentSynth.RawMessage(999999L, "rss",
       "Brand in Seefeld am 01.01.2016, die Feuerwehr war da.",
