@@ -1,8 +1,12 @@
 package repro.bench
 
+import java.nio.charset.StandardCharsets.UTF_8
+import java.nio.file.{Files, Path, Paths}
 import org.apache.spark.sql.SparkSession
 import repro.core.Reports
 import repro.data.Gazetteer
+import scala.sys.process.Process
+import scala.util.Try
 
 /** Shared state for the benchmark suites.
   *
@@ -24,6 +28,25 @@ object BenchEnv {
       cells
     }
   }
+
+  /** The repository root: the nearest directory at or above the working one
+    * that holds both `build.sbt` and `bench/`. */
+  lazy val repoRoot: Path =
+    Iterator.iterate(Paths.get("").toAbsolutePath)(_.getParent).takeWhile(_ != null)
+      .find(d => Files.exists(d.resolve("build.sbt")) && Files.isDirectory(d.resolve("bench")))
+      .getOrElse(Paths.get("").toAbsolutePath)
+
+  /** The checkout's commit, suffixed `-dirty` when tracked files differ from
+    * it; "unknown" outside a git checkout. */
+  lazy val gitSha: String =
+    Try(Process(Seq("git", "describe", "--always", "--dirty", "--abbrev=40"), repoRoot.toFile).!!.trim)
+      .getOrElse("unknown")
+
+  val nproc: Int = Runtime.getRuntime.availableProcessors
+
+  /** Writes `json` to `BENCH_<table>.json` at the repository root. */
+  def writeBench(table: String, json: String): Path =
+    Files.write(repoRoot.resolve(s"BENCH_$table.json"), (json + "\n").getBytes(UTF_8))
 
   def section(title: String): Unit = {
     println("=" * 78)

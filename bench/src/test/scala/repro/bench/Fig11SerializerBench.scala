@@ -10,11 +10,33 @@ import repro.core.Reports
 class Fig11SerializerBench extends AnyFunSuite {
 
   private lazy val results = Reports.serializerBench()
+
+  /** `BENCH_fig11.json`: the run's shape and, per serializer, alarms/s on
+    * each side of the log and the codec's µs per alarm. */
+  private def benchJson: String = {
+    def us(x: Double): Double = math.round(x * 1000) / 1000.0
+    val rows = results.map { r =>
+      s"""    {"serializer": "${r.serializer}", "producer_alarms_per_s": ${math.round(r.producerRate)}, """ +
+        s""""consumer_alarms_per_s": ${math.round(r.consumerRate)}, "write_us_per_alarm": ${us(r.writeUs)}, """ +
+        s""""read_us_per_alarm": ${us(r.readUs)}}"""
+    }
+    s"""{
+  "table": "fig11",
+  "partitions": ${Reports.SerializerPartitions},
+  "alarms": ${Reports.SerializerAlarms},
+  "nproc": ${BenchEnv.nproc},
+  "git_sha": "${BenchEnv.gitSha}",
+  "serializers": [
+${rows.mkString(",\n")}
+  ]
+}"""
+  }
   private def byName(fragment: String) = results.find(_.serializer.contains(fragment)).get
 
   test("Fig. 11: measured serializer throughput") {
     BenchEnv.section("Fig. 11: serializer throughput (200K alarms)")
     println(Reports.formatSerializer(results))
+    println(s"wrote ${BenchEnv.writeBench("fig11", benchJson)}")
     assert(results.size == 2)
     assert(results.forall(r => r.producerRate > 0 && r.consumerRate > 0))
   }

@@ -203,18 +203,29 @@ object Reports {
   // Fig. 11: serializer throughput (producer and consumer side)
   // -------------------------------------------------------------------------
 
-  final case class SerializerResult(serializer: String, producerRate: Double, consumerRate: Double)
+  /** Producer and consumer alarms/s through the log, and the codec's own
+    * cost per alarm: µs to `write` and to `read` one record, log excluded. */
+  final case class SerializerResult(serializer: String, producerRate: Double, consumerRate: Double,
+                                    writeUs: Double, readUs: Double)
 
-  /** Produces and consumes 200K alarms through an 8-partition log, once per
-    * serializer. */
+  val SerializerAlarms = 200000
+  val SerializerPartitions = 8
+  /** Passes per serializer; each reported figure is the median over them. */
+  val SerializerPasses = 5
+
+  /** Produces and consumes [[SerializerAlarms]] alarms through a
+    * [[SerializerPartitions]]-partition log, then times `read` and `write`
+    * alone over the same alarms, keeping no output. Each serializer runs
+    * [[SerializerPasses]] passes on a fresh log, and every figure is the
+    * median over the passes, so one collection pause or one slow pass does
+    * not set it. */
   def serializerBench(): Seq[SerializerResult] = {
-    val events = (0 until 200000).map(i => AlarmEvent(i.toLong, f"00:1a:${i % 97}%02x:00:00:00",
+    val events = (0 until SerializerAlarms).map(i => AlarmEvent(i.toLong, f"00:1a:${i % 97}%02x:00:00:00",
       f"${4000 + i % 500}%04d", 1451606400L + i, 1 + i % 7, i % 24, "fire", "residential",
       "smoke_v1", "2.0.1", 12.5))
-    Serializers.all.map { ser =>
-      // Warmup to get JIT out of the measurement.
-      events.take(20000).foreach(e => ser.read(ser.write(e)))
-      val log = new EmbeddedLog(8)
+    def usPerAlarm(t0: Long): Double = (System.nanoTime() - t0) / 1e3 / events.size
+    def pass(ser: AlarmSerializer): SerializerResult = {
+      val log = new EmbeddedLog(SerializerPartitions)
       val producer = new LogProducer(log, ser)
       val pRate = producer.sendAll(events)
       val consumer = new LogConsumer(log)
@@ -227,14 +238,35 @@ object Reports {
         batch = consumer.poll(1 << 20)
       }
       val cRate = consumed / ((System.nanoTime() - t0) / 1e9)
-      SerializerResult(ser.name, pRate, cRate)
+      val wire = (0 until SerializerPartitions).flatMap(p => log.fetch(p, 0, events.size))
+      var sink = 0L
+      val r0 = System.nanoTime()
+      var i = 0
+      while (i < wire.length) { sink += ser.read(wire(i)).id; i += 1 }
+      val readUs = usPerAlarm(r0)
+      val w0 = System.nanoTime()
+      i = 0
+      while (i < events.length) { sink += ser.write(events(i)).length; i += 1 }
+      val writeUs = usPerAlarm(w0)
+      require(sink > 0) // uses every timed result
+      SerializerResult(ser.name, pRate, cRate, writeUs, readUs)
+    }
+    def median(xs: Seq[Double]): Double = xs.sorted.apply(xs.size / 2)
+    Serializers.all.map { ser =>
+      // Warmup to get JIT out of the measurement.
+      events.take(20000).foreach(e => ser.read(ser.write(e)))
+      val ps = Seq.fill(SerializerPasses)(pass(ser))
+      SerializerResult(ser.name, median(ps.map(_.producerRate)), median(ps.map(_.consumerRate)),
+        median(ps.map(_.writeUs)), median(ps.map(_.readUs)))
     }
   }
 
   def formatSerializer(rs: Seq[SerializerResult]): String = {
     val sb = new StringBuilder
-    sb.append(f"${"Serializer"}%-28s ${"producer [alarms/s]"}%22s ${"consumer [alarms/s]"}%22s\n")
-    rs.foreach(r => sb.append(f"${r.serializer}%-28s ${r.producerRate}%22.0f ${r.consumerRate}%22.0f\n"))
+    sb.append(f"${"Serializer"}%-28s ${"producer [alarms/s]"}%22s ${"consumer [alarms/s]"}%22s" +
+      f" ${"write [us]"}%11s ${"read [us]"}%10s\n")
+    rs.foreach(r => sb.append(f"${r.serializer}%-28s ${r.producerRate}%22.0f ${r.consumerRate}%22.0f" +
+      f" ${r.writeUs}%11.3f ${r.readUs}%10.3f\n"))
     sb.toString
   }
 

@@ -27,8 +27,8 @@ object Mlp {
       seed: Long = 7,
       /** The paper's 2-node second hidden layer (Table 7) can initialize
         * into a dead-ReLU state that never escapes (training loss pinned at
-        * ln 2). Retry with a shifted seed up to this many times — still
-        * fully deterministic. */
+        * the labels' entropy). Retry with a shifted seed up to this many
+        * times — still fully deterministic. */
       restarts: Int = 3)
 
   /** The trained network; broadcastable into scoring UDFs. */
@@ -102,10 +102,20 @@ object Mlp {
     net
   }
 
-  /** A run is collapsed when its training loss is still at the ~ln 2 level
-    * of a constant 50/50 predictor. */
-  private def collapsed(net: Net, data: IndexedSeq[(Array[Int], Int)]): Boolean =
-    net.loss(data.take(2000)) > 0.6915
+  /** How close (in nats) a run's loss may come to its labels' entropy
+    * before it counts as collapsed. */
+  private val CollapseMargin = 0.005
+
+  /** A run is collapsed when its loss on a sample of the training data is
+    * within [[CollapseMargin]] of the entropy of that sample's label share:
+    * it predicts no better than a constant that has learned only the share,
+    * whatever that share is. A one-label sample has nothing to learn. */
+  private[ml] def collapsed(net: Net, data: IndexedSeq[(Array[Int], Int)]): Boolean = {
+    val sample = data.take(2000)
+    val q = sample.count(_._2 == 1).toDouble / sample.size
+    q > 0 && q < 1 &&
+      net.loss(sample) > -q * math.log(q) - (1 - q) * math.log(1 - q) - CollapseMargin
+  }
 
   private def trainOnce(data: IndexedSeq[(Array[Int], Int)], dim: Int,
                         cfg: Config, seedUsed: Long): Net = {

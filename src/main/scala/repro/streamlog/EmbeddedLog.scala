@@ -1,6 +1,7 @@
 package repro.streamlog
 
-import scala.collection.mutable.ArrayBuffer
+import java.util.Arrays
+import scala.collection.immutable.ArraySeq
 
 /** Kafka stand-in (Section 4.2(1)): a partitioned, append-only, offset-based
   * in-memory log.
@@ -19,13 +20,24 @@ import scala.collection.mutable.ArrayBuffer
 final class EmbeddedLog(val numPartitions: Int) {
   require(numPartitions > 0, "a log needs at least one partition")
 
-  private val parts: Array[ArrayBuffer[String]] =
-    Array.fill(numPartitions)(ArrayBuffer.empty[String])
+  /** One partition: its records are `recs(0 until size)`; `recs` doubles
+    * when full. Guarded by the partition's own lock. */
+  private final class Partition {
+    var recs = new Array[String](16)
+    var size = 0
+  }
+
+  private val parts: Array[Partition] = Array.fill(numPartitions)(new Partition)
 
   /** Append to an explicit partition; returns the record's offset. */
   def append(partition: Int, record: String): Long = {
     val p = parts(partition)
-    p.synchronized { p += record; (p.size - 1).toLong }
+    p.synchronized {
+      if (p.size == p.recs.length) p.recs = Arrays.copyOf(p.recs, 2 * p.size)
+      p.recs(p.size) = record
+      p.size += 1
+      (p.size - 1).toLong
+    }
   }
 
   /** Append partitioned by key hash (Kafka's default partitioner). */
@@ -40,13 +52,14 @@ final class EmbeddedLog(val numPartitions: Int) {
 
   def totalRecords: Long = (0 until numPartitions).map(endOffset).sum
 
-  /** Fetch up to `maxRecords` records of `partition` starting at `offset`. */
+  /** Fetch up to `maxRecords` records of `partition` starting at `offset`,
+    * copied once into an immutable snapshot that later appends do not touch. */
   def fetch(partition: Int, offset: Long, maxRecords: Int): IndexedSeq[String] = {
     val p = parts(partition)
     p.synchronized {
       val from = math.min(offset, p.size.toLong).toInt
       val to   = math.min(from.toLong + maxRecords, p.size.toLong).toInt
-      p.slice(from, to).toIndexedSeq
+      ArraySeq.unsafeWrapArray(Arrays.copyOfRange(p.recs, from, to))
     }
   }
 }

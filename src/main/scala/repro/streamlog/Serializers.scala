@@ -1,5 +1,6 @@
 package repro.streamlog
 
+import com.fasterxml.jackson.core.io.{NumberInput, NumberOutput}
 import scala.collection.mutable
 
 /** The alarm record as it travels the wire (simplified Sitasys format of
@@ -55,13 +56,24 @@ object Serializers {
     sb.append(s, run, s.length).append('"')
   }
 
-  /** Reads the JSON string whose opening quote is at `s(start)` into `sb`,
-    * decoding escapes; returns the index just past the closing quote. An
-    * unterminated string raises `IllegalArgumentException`. */
-  private def unquote(s: String, start: Int, sb: java.lang.StringBuilder): Int = {
+  /** `d` as JSON number text, shared by both writers: the shortest decimal
+    * that parses back to the same bits (Schubfach, from jackson-core), laid
+    * out like `Double.toString`. NaN and ±Infinity have no JSON form and
+    * raise `IllegalArgumentException`. */
+  def number(d: Double): String = {
+    require(!NumberOutput.notFinite(d), s"a JSON number must be finite, got $d")
+    NumberOutput.toString(d, true)
+  }
+
+  /** Decodes the body of a JSON string into `sb`, in one pass: `s(start)` is
+    * the first character after the opening quote, and the characters before
+    * `from` are already known to hold no quote or backslash. Returns the
+    * index just past the closing quote. An unterminated string raises
+    * `IllegalArgumentException`. */
+  private def unquote(s: String, start: Int, from: Int, sb: java.lang.StringBuilder): Int = {
     def unterminated(): Nothing = throw new IllegalArgumentException(s"unterminated string: $s")
-    var run = start + 1
-    var i = run
+    var run = start
+    var i = from
     while (i < s.length && s.charAt(i) != '"') {
       if (s.charAt(i) != '\\') i += 1
       else {
@@ -69,7 +81,7 @@ object Serializers {
         val e = if (i + 1 < s.length) s.charAt(i + 1) else unterminated()
         if (e == 'u') {
           if (i + 6 > s.length) unterminated()
-          sb.append(Integer.parseInt(s.substring(i + 2, i + 6), 16).toChar); i += 6
+          sb.append(Integer.parseInt(s, i + 2, i + 6, 16).toChar); i += 6
         }
         else { val k = ShortCodes.indexOf(e); sb.append(if (k >= 0) ShortChars(k) else e); i += 2 }
         run = i
@@ -97,7 +109,7 @@ object Serializers {
       sb.append(",\"propertyType\":"); esc(sb, a.propertyType)
       sb.append(",\"sensorType\":"); esc(sb, a.sensorType)
       sb.append(",\"swVersion\":"); esc(sb, a.swVersion)
-      sb.append(",\"durationSec\":").append(a.durationSec)
+      sb.append(",\"durationSec\":").append(number(a.durationSec))
       sb.append('}')
       sb.toString
     }
@@ -127,18 +139,19 @@ object Serializers {
         while (i < s.length && { val c = s.charAt(i); c >= '0' && c <= '9' || c == '.' || c == '-' || c == 'E' })
           i += 1
         if (i == st) bad("expected a number")
-        s.substring(st, i).toDouble
+        NumberInput.parseDouble(s.substring(st, i), true)
       }
       def readString(): String = {
         if (i >= s.length || s.charAt(i) != '"') bad("expected a string")
-        // Fast path: no escape before the closing quote.
+        // Fast path: no escape before the closing quote. Otherwise decoding
+        // resumes at the first backslash, keeping the plain run before it.
         var j = i + 1
         while (j < s.length && s.charAt(j) != '"' && s.charAt(j) != '\\') j += 1
         if (j < s.length && s.charAt(j) == '"') {
           val v = s.substring(i + 1, j); i = j + 1; v
         } else {
-          val sb = new java.lang.StringBuilder(24)
-          i = unquote(s, i, sb)
+          val sb = new java.lang.StringBuilder(j - i + 16)
+          i = unquote(s, i + 1, j, sb)
           sb.toString
         }
       }
@@ -178,6 +191,7 @@ object Serializers {
         esc(sb, names(k)); sb.append(':')
         values(k) match {
           case s: String => esc(sb, s)
+          case d: Double => sb.append(number(d))
           case other     => sb.append(other.toString)
         }
         k += 1
@@ -193,7 +207,7 @@ object Serializers {
       def parseString(): String = {
         require(s.charAt(i) == '"')
         val sb = new java.lang.StringBuilder
-        i = unquote(s, i, sb)
+        i = unquote(s, i + 1, i + 1, sb)
         sb.toString
       }
       def parseNumber(): Any = {

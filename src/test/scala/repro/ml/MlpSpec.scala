@@ -15,6 +15,34 @@ class MlpSpec extends AnyFunSuite {
     }
   }
 
+  /** Labels true with probability `q`; feature 0/1 agrees with the label 90 %
+    * of the time, features 2–6 and 7–10 are noise. */
+  private def skewed(n: Int, q: Double, seed: Long = 11): IndexedSeq[(Array[Int], Int)] = {
+    val rng = new Random(seed)
+    IndexedSeq.fill(n) {
+      val y = if (rng.nextDouble() < q) 1 else 0
+      val f = if (rng.nextDouble() < 0.9) y else 1 - y
+      (Array(f, 2 + rng.nextInt(5), 7 + rng.nextInt(4)), y)
+    }
+  }
+
+  private def accuracy(net: Mlp.Net, data: IndexedSeq[(Array[Int], Int)]): Double =
+    data.count { case (x, y) => (net.pTrue(x) >= 0.5) == (y == 1) }.toDouble / data.size
+
+  // Seeds whose first run dies in the 2-node bottleneck (Table 7) and only
+  // predicts the majority label; the restart must catch it at any label share.
+  for ((q, seed) <- Seq(0.47 -> 1L, 0.3 -> 8L)) {
+    val pct = math.round(q * 100)
+    test(s"a collapsed run at $pct/${100 - pct} labels is restarted") {
+      val data = skewed(1000, q)
+      val majority = math.max(data.count(_._2 == 1), data.count(_._2 == 0)).toDouble / data.size
+      val cfg = Mlp.Config(epochs = 10, seed = seed)
+      assert(accuracy(Mlp.train(data, 11, cfg.copy(restarts = 0)), data) == majority)
+      val acc = accuracy(Mlp.train(data, 11, cfg), data)
+      assert(acc > 0.85, s"accuracy $acc, majority share $majority")
+    }
+  }
+
   test("forward produces a probability distribution") {
     val net = Mlp.train(separable(10), dim = 3, Mlp.Config(epochs = 1))
     val p = net.forward(Array(0, 2))

@@ -17,6 +17,15 @@ class EmbeddedLogSpec extends AnyFunSuite {
     assert(log.fetch(0, 1, 2) == IndexedSeq("b", "c"))
   }
 
+  test("a fetched batch is a snapshot") {
+    val log = new EmbeddedLog(1)
+    Seq("a", "b").foreach(log.append(0, _))
+    val got = log.fetch(0, 0, 10)
+    Seq("c", "d").foreach(log.append(0, _))
+    assert(got == IndexedSeq("a", "b"))
+    assert(log.fetch(0, 0, 10) == IndexedSeq("a", "b", "c", "d"))
+  }
+
   test("fetch beyond the end is empty") {
     val log = new EmbeddedLog(1)
     log.append(0, "a")

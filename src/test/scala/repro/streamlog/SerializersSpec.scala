@@ -1,8 +1,10 @@
 package repro.streamlog
 
-import org.scalacheck.Gen
+import java.lang.Double.{doubleToRawLongBits, longBitsToDouble}
+import org.scalacheck.{Gen, Prop, Test}
 import org.scalacheck.rng.Seed
 import org.scalatest.funsuite.AnyFunSuite
+import scala.util.{Failure, Success, Try}
 
 object SerializersSpec {
 
@@ -25,13 +27,53 @@ object SerializersSpec {
     du <- Gen.chooseNum(0.0, 100000.0)
   } yield AlarmEvent(id, da, zip, ts, dw, hd, at, pt, st, sw, du)
 
+  /** Finite doubles drawn from raw 64-bit patterns, so every exponent is
+    * equally likely, plus the edges: subnormals, the extremes and -0.0. */
+  val genFinite: Gen[Double] = Gen.frequency(
+    8 -> Gen.choose(Long.MinValue, Long.MaxValue).map(longBitsToDouble)
+      .suchThat(d => !d.isNaN && !d.isInfinite),
+    1 -> Gen.choose(1L, (1L << 52) - 1).map(longBitsToDouble),
+    1 -> Gen.oneOf(Double.MinPositiveValue, Double.MaxValue, -Double.MaxValue,
+      java.lang.Double.MIN_NORMAL, 0.0, -0.0, 1.0E23, 2.0E-3))
+
+  /** Text over the reader's number alphabet `[0-9.\-E]`: free strings, which
+    * are mostly malformed, and number-shaped ones with long mantissas and
+    * out-of-range exponents. */
+  val genNumberText: Gen[String] = {
+    val digits = Gen.choose(0, 25).flatMap(Gen.listOfN(_, Gen.numChar)).map(_.mkString)
+    val shaped = for {
+      sign <- Gen.oneOf("", "-"); int <- digits
+      frac <- Gen.option(digits.map("." + _))
+      exp  <- Gen.option(Gen.zip(Gen.oneOf("", "-"), Gen.choose(1, 4).flatMap(Gen.listOfN(_, Gen.numChar)))
+                .map { case (s, e) => "E" + s + e.mkString })
+    } yield sign + int + frac.getOrElse("") + exp.getOrElse("")
+    val free = Gen.choose(0, 12).flatMap(Gen.listOfN(_, Gen.frequency(
+      6 -> Gen.numChar, 1 -> Gen.const('.'), 1 -> Gen.const('-'), 1 -> Gen.const('E')))).map(_.mkString)
+    Gen.oneOf(shaped, free)
+  }
+
+  /** Strings with an escaped character at the first position, the last
+    * position and two side by side in between. */
+  val genEdgeEscapes: Gen[String] = {
+    val escaped = Gen.oneOf(Gen.oneOf("\"", "\\"), Gen.choose('\u0000', '\u001f').map(_.toString))
+    for {
+      first <- escaped; a <- Gen.alphaNumStr; pair1 <- escaped; pair2 <- escaped
+      b <- Gen.alphaNumStr; last <- escaped
+    } yield first + a + pair1 + pair2 + b + last
+  }
+
+  /** Runs `prop` on 500 seeded draws; the result as a ScalaCheck status. */
+  def check(prop: Prop): Test.Result =
+    Test.check(Test.Parameters.default.withMinSuccessfulTests(500)
+      .withInitialSeed(Seed(20180326L)).withWorkers(1), prop)
+
   /** Deterministic sample batch from the ScalaCheck generator. */
   val randomEvents: Seq[AlarmEvent] =
     Gen.listOfN(200, genEvent).pureApply(Gen.Parameters.default, Seed(12345L))
 }
 
 class SerializersSpec extends AnyFunSuite {
-  import SerializersSpec.randomEvents
+  import SerializersSpec.{check, randomEvents}
 
   private val sample = AlarmEvent(42L, "00:1a:2b:3c:4d:00", "4001", 1451606400L,
     3, 14, "fire", "residential", "smoke_v1", "2.0.1", 12.5)
@@ -117,6 +159,45 @@ class SerializersSpec extends AnyFunSuite {
       }
       for (n <- 0 until s.length) intercept[IllegalArgumentException] { fast.read(s.substring(0, n)) }
     }
+  }
+
+  test("writers reject a non-finite durationSec, which has no JSON form") {
+    for (ser <- Serializers.all; d <- Seq(Double.NaN, Double.PositiveInfinity, Double.NegativeInfinity))
+      intercept[IllegalArgumentException] { ser.write(sample.copy(durationSec = d)) }
+  }
+
+  test("property: number(d) parses back to the same bits, and the record round-trips") {
+    val fast = Serializers.FastJsonSerializer
+    val result = check(Prop.forAllNoShrink(SerializersSpec.genFinite) { d =>
+      val bits = doubleToRawLongBits(d)
+      val a = sample.copy(durationSec = d)
+      doubleToRawLongBits(java.lang.Double.parseDouble(Serializers.number(d))) == bits &&
+        Serializers.all.forall(r => doubleToRawLongBits(r.read(fast.write(a)).durationSec) == bits)
+    })
+    assert(result.passed, result.status.toString)
+  }
+
+  test("property: the hand-rolled reader decodes number text exactly as Double.parseDouble") {
+    val fast = Serializers.FastJsonSerializer
+    val wire = fast.write(sample)
+    assert(wire.endsWith(",\"durationSec\":12.5}"))
+    val result = check(Prop.forAllNoShrink(SerializersSpec.genNumberText) { text =>
+      val rec = wire.stripSuffix("12.5}") + text + "}"
+      (Try(java.lang.Double.parseDouble(text)), Try(fast.read(rec).durationSec)) match {
+        case (Success(want), Success(got)) => doubleToRawLongBits(want) == doubleToRawLongBits(got)
+        case (Failure(_), Failure(e))      => e.isInstanceOf[IllegalArgumentException]
+        case _                             => false
+      }
+    })
+    assert(result.passed, result.status.toString)
+  }
+
+  test("property: escapes at the first, the last and adjacent positions round-trip through both readers") {
+    val result = check(Prop.forAllNoShrink(SerializersSpec.genEdgeEscapes) { s =>
+      val a = sample.copy(deviceAddr = s, alarmType = s.reverse, swVersion = s)
+      Serializers.all.forall(w => Serializers.all.forall(r => r.read(w.write(a)) == a))
+    })
+    assert(result.passed, result.status.toString)
   }
 
   test("reflective reader rejects documents with missing fields") {
