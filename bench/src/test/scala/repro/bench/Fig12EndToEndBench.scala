@@ -15,9 +15,34 @@ class Fig12EndToEndBench extends SparkSpec {
   private lazy val results = Reports.endToEndBench(spark, BenchEnv.sf, BenchEnv.cities)
   private def at(parts: Int) = results.find(_.partitions == parts).get
 
+  /** `BENCH_fig12.json`: the run's shape and, per partition count, alarms/s
+    * and each layer's total ms, µs per alarm and share of consumer time. */
+  private def benchJson: String = {
+    def r3(x: Double): Double = math.round(x * 1000) / 1000.0
+    val rows = results.map { r =>
+      val layers = Seq("deserialize" -> r.deserializeSec, "stream" -> r.streamSec,
+        "history" -> r.historySec, "ml" -> r.mlSec).map { case (name, sec) =>
+        s""""$name": {"ms": ${r3(sec * 1e3)}, "us_per_alarm": ${r3(sec * 1e6 / r.nAlarms)}, """ +
+          s""""share": ${r3(sec / r.totalSec)}}"""
+      }
+      s"""    {"partitions": ${r.partitions}, "alarms": ${r.nAlarms}, "batches": ${r.nBatches}, """ +
+        s""""alarms_per_s": ${math.round(r.throughput)},\n     "layers": {${layers.mkString(", ")}}}"""
+    }
+    s"""{
+  "table": "fig12",
+  "sf": ${BenchEnv.sf},
+  "nproc": ${BenchEnv.nproc},
+  "git_sha": "${BenchEnv.gitSha}",
+  "runs": [
+${rows.mkString(",\n")}
+  ]
+}"""
+  }
+
   test("Fig. 12: measured end-to-end breakdown and throughput") {
     BenchEnv.section(s"Fig. 12 / Sec 5.5: end-to-end verification (sf=${BenchEnv.sf}, 60K alarms)")
     println(Reports.formatEndToEnd(results))
+    println(s"wrote ${BenchEnv.writeBench("fig12", benchJson)}")
     assert(results.forall(_.nAlarms == 60000))
   }
 

@@ -35,8 +35,8 @@ object AlarmPipeline {
     val split = df.randomSplit(Array(trainFraction, 1 - trainFraction), seed)
     val (tr, te) = (split(0), split(1))
     val enc = CategoricalEncoder.fit(tr, features)
-    val train = enc.transform(tr).select("feat_idx", "features", "label").cache()
-    val test  = enc.transform(te).select("feat_idx", "features", "label").cache()
+    val train = enc.transform(tr).select("features", "label").cache()
+    val test  = enc.transform(te).select("features", "label").cache()
     train.count(); test.count()
     Prepared(train, test, enc)
   }

@@ -87,7 +87,7 @@ object EndToEnd {
     def totalSec: Double = deserializeSec + streamSec + historySec + mlSec
   }
 
-  /** What the consumer hands on per alarm: the ARC needs the alarm id, its
-    * confidence and the routing decision. */
-  def verdicts(scored: DataFrame): DataFrame = scored.select("id", "p_true", "send_to_arc")
+  /** What the consumer hands on per alarm: the ARC needs the alarm id, the
+    * verification, its confidence and the routing decision. */
+  def verdicts(scored: DataFrame): DataFrame = scored.select("id", "prediction", "p_true", "send_to_arc")
 }

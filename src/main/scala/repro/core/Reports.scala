@@ -274,9 +274,16 @@ object Reports {
   // Fig. 12 + 30K/s claim: end-to-end consumer throughput & breakdown
   // -------------------------------------------------------------------------
 
-  final case class EndToEndResult(partitions: Int, nAlarms: Long, throughput: Double,
-                                  deserializeFrac: Double, streamFrac: Double,
-                                  historyFrac: Double, mlFrac: Double)
+  /** One drain: alarms/s and the seconds spent in each consumer layer. */
+  final case class EndToEndResult(partitions: Int, nAlarms: Long, nBatches: Int, throughput: Double,
+                                  deserializeSec: Double, streamSec: Double,
+                                  historySec: Double, mlSec: Double) {
+    def totalSec: Double = deserializeSec + streamSec + historySec + mlSec
+    def deserializeFrac: Double = deserializeSec / totalSec
+    def streamFrac: Double = streamSec / totalSec
+    def historyFrac: Double = historySec / totalSec
+    def mlFrac: Double = mlSec / totalSec
+  }
 
   /** Streams 60K alarms through an unpartitioned (1) and a partitioned (8)
     * log, in micro-batches of 25K alarms spread over the partitions. */
@@ -307,10 +314,9 @@ object Reports {
       new LogProducer(log, Serializers.FastJsonSerializer).sendAll(events)
       val e2e = new EndToEnd(spark, log, Serializers.FastJsonSerializer, history, service)
       val (timings, rate) = e2e.drain(maxPerPartition = 25000 / parts)
-      val total = timings.map(_.totalSec).sum
-      EndToEndResult(parts, timings.map(_.nAlarms).sum, rate,
-        timings.map(_.deserializeSec).sum / total, timings.map(_.streamSec).sum / total,
-        timings.map(_.historySec).sum / total, timings.map(_.mlSec).sum / total)
+      EndToEndResult(parts, timings.map(_.nAlarms).sum, timings.size, rate,
+        timings.map(_.deserializeSec).sum, timings.map(_.streamSec).sum,
+        timings.map(_.historySec).sum, timings.map(_.mlSec).sum)
     }
   }
 

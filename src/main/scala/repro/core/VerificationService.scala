@@ -1,5 +1,7 @@
 package repro.core
 
+import org.apache.spark.SparkContext
+import org.apache.spark.broadcast.Broadcast
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 import repro.ml.{AlarmModel, CategoricalEncoder}
@@ -11,17 +13,31 @@ import repro.ml.{AlarmModel, CategoricalEncoder}
   * `threshold` models the "My Security Center" customer setting (Section 3):
   * alarms with `p_true` below it are routed to the customer's phone first;
   * only those above go straight to the Alarm Receiving Center.
+  *
+  * The encoder and model reach the executors as one broadcast variable,
+  * made on the first `verify` of each SparkContext; the scoring UDFs hold
+  * only that handle, so a batch's tasks do not carry the vocabularies and
+  * the fitted model again.
   */
 final class VerificationService(val encoder: CategoricalEncoder,
                                 val model: AlarmModel,
-                                val threshold: Double = 0.5) extends Serializable {
+                                val threshold: Double = 0.5) {
 
-  /** Score raw alarms: adds `p_true`, `prediction` and the routing decision
-    * `send_to_arc`. */
+  // The context and broadcast of the last verify; a new context gets a new one.
+  private var shipped: Option[(SparkContext, Broadcast[(CategoricalEncoder, AlarmModel)])] = None
+
+  private def handle(sc: SparkContext) = synchronized {
+    if (!shipped.exists(_._1 eq sc)) shipped = Some((sc, sc.broadcast((encoder, model))))
+    shipped.get._2
+  }
+
+  /** Score raw alarms: adds `features`, `p_true`, `prediction` and the
+    * routing decision `send_to_arc`. */
   def verify(alarms: DataFrame): DataFrame = {
-    val in = if (alarms.columns.contains("label")) alarms
-             else alarms.withColumn("label", lit(0))
-    model.transform(encoder.transform(in))
+    val b = handle(alarms.sparkSession.sparkContext)
+    val (pTrue, prediction) = AlarmModel.scores(() => b.value._2)
+    alarms.select(col("*"), CategoricalEncoder.features(encoder.columns, () => b.value._1).as("features"))
+      .select(col("*"), pTrue, prediction)
       .withColumn("send_to_arc", col("p_true") >= lit(threshold))
   }
 }

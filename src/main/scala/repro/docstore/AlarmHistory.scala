@@ -15,10 +15,12 @@ import scala.collection.mutable
   * Next to the raw documents, the history keeps an in-memory per-device index
   * `device_addr → ts_epoch` of every document, so a window's histogram reads
   * only its devices' alarms instead of re-parsing the whole collection. The
-  * index records the [[DocStore.version]] it reflects: `ingest` keeps it in
-  * step, and any other write to the collection (`insert`, `insertAll`,
-  * `load`, `drop`) changes the version, so the next `histogram` rebuilds the
-  * index from the documents first.
+  * index records the [[DocStore.version]] it reflects: `ingest` indexes the
+  * rows it stores, and any other write to the collection (`insert`,
+  * `insertAll`, `load`, `drop`) changes the version, so the next `ingest` or
+  * `histogram` rebuilds the index from the documents first. A new history
+  * over an empty collection rebuilds at its first `ingest` without a Spark
+  * job, so its first histogram reads the index too.
   */
 final class AlarmHistory(spark: SparkSession, store: DocStore,
                          collection: String = "alarms") {
@@ -36,12 +38,10 @@ final class AlarmHistory(spark: SparkSession, store: DocStore,
       else alarms.withColumn("ts_epoch", unix_timestamp(col("ts")))
     val rows = withEpoch.drop("ts").select(DeviceCol, EpochCol, to_json(struct(col("*")))).collect()
     store.synchronized {
-      val inStep = indexedVersion == store.version(collection)
+      if (indexedVersion != store.version(collection)) rebuild()
       store.insertAll(collection, rows.iterator.map(_.getString(2)))
-      if (inStep) {
-        rows.foreach(add)
-        indexedVersion = store.version(collection)
-      }
+      rows.foreach(add)
+      indexedVersion = store.version(collection)
     }
   }
 

@@ -1,13 +1,16 @@
 package repro.ml
 
-import org.apache.spark.sql.DataFrame
+import org.apache.spark.ml.linalg.Vector
+import org.apache.spark.sql.{Column, DataFrame}
+import org.apache.spark.sql.functions._
 
 /** Unified view over the four algorithms of Section 5.3.
   *
-  * `fit` consumes an encoded DataFrame (columns `features`, `feat_idx`,
-  * `label`); the returned model's `transform` adds:
-  *  - `prediction` (0.0 / 1.0) and
-  *  - `p_true` — the confidence that the alarm is true, which the paper
+  * `fit` reads the columns `features` (the encoder's one-hot vector) and
+  * `label` (0.0 / 1.0) of an encoded DataFrame. The returned model scores
+  * one feature vector at a time:
+  *  - `predict` gives the verification (0.0 / 1.0) and
+  *  - `pTrue` the confidence that the alarm is true, which the paper
   *    stresses is as important to the ARC operator as the verification
   *    itself (Section 6.1 "Provide probability of verification").
   */
@@ -18,13 +21,30 @@ trait AlarmClassifier {
 
 trait AlarmModel extends Serializable {
   def name: String
-  def transform(df: DataFrame): DataFrame
+  def pTrue(features: Vector): Double
+  def predict(features: Vector): Double
+
+  /** Adds `p_true` and `prediction` from the `features` column. */
+  def transform(df: DataFrame): DataFrame = {
+    val (pTrue, prediction) = AlarmModel.scores(() => this)
+    df.select(col("*"), pTrue, prediction)
+  }
+}
+
+object AlarmModel {
+  /** The `p_true` and `prediction` columns over `features`, one UDF each.
+    * Their closures hold only `model`, so a caller decides what ships with
+    * each task (the model itself, or a broadcast handle to it). */
+  def scores(model: () => AlarmModel): (Column, Column) = {
+    val f = col("features")
+    (udf((v: Vector) => model().pTrue(v)).apply(f).as("p_true"),
+     udf((v: Vector) => model().predict(v)).apply(f).as("prediction"))
+  }
 }
 
 object Metrics {
   /** Fraction of rows where `prediction` equals `label`. */
   def accuracy(scored: DataFrame): Double = {
-    import org.apache.spark.sql.functions._
     val r = scored.agg(
       avg(when(col("prediction") === col("label").cast("double"), 1.0).otherwise(0.0))
     ).collect()(0)

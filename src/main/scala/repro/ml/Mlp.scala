@@ -2,7 +2,6 @@ package repro.ml
 
 import org.apache.spark.ml.linalg.Vector
 import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.functions._
 import scala.util.Random
 
 /** From-scratch Deep Neural Network — the substitute for the paper's
@@ -230,25 +229,24 @@ object Mlp {
     net
   }
 
-  /** Spark-facing wrapper implementing the shared classifier API. */
+  /** Spark-facing wrapper implementing the shared classifier API. It trains
+    * on the active indices of the encoder's one-hot `features`. */
   final case class DnnClassifier(cfg: Config = Config()) extends AlarmClassifier {
     val name = "DNN"
     def fit(train: DataFrame): AlarmModel = {
-      val dim = train.select("features").head().getAs[Vector](0).size
-      val data = train.select("feat_idx", "label").collect().map { r =>
-        (r.getSeq[Int](0).toArray, r.getDouble(1).toInt)
-      }.toIndexedSeq
+      val rows = train.select("features", "label").collect()
+      val dim = rows.head.getAs[Vector](0).size
+      val data = rows.map(r => (active(r.getAs[Vector](0)), r.getDouble(1).toInt)).toIndexedSeq
       DnnModel(Mlp.train(data, dim, cfg))
     }
   }
 
   final case class DnnModel(net: Net) extends AlarmModel {
     val name = "DNN"
-    def transform(df: DataFrame): DataFrame = {
-      val n = net
-      val pU = udf((idx: Seq[Int]) => n.pTrue(idx.toArray))
-      df.withColumn("p_true", pU(col("feat_idx")))
-        .withColumn("prediction", when(col("p_true") >= 0.5, 1.0).otherwise(0.0))
-    }
+    def pTrue(v: Vector): Double = net.pTrue(active(v))
+    def predict(v: Vector): Double = if (pTrue(v) >= 0.5) 1.0 else 0.0
   }
+
+  /** The active (non-zero) indices of a one-hot vector, ascending. */
+  private def active(v: Vector): Array[Int] = v.toSparse.indices
 }

@@ -4,7 +4,6 @@ import org.apache.spark.ml.classification.{ClassificationModel, LinearSVC, Logis
   ProbabilisticClassificationModel, RandomForestClassifier}
 import org.apache.spark.ml.linalg.Vector
 import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.functions._
 
 /** The three Spark ML algorithms the paper used off the shelf (Section 5.3:
   * "For the first 3 we used the readily available implementations from
@@ -12,21 +11,17 @@ import org.apache.spark.sql.functions._
   */
 object SparkClassifiers {
 
-  private val pTrueFromProba  = udf((v: Vector) => v(1))
-  private val pTrueFromMargin = udf((v: Vector) => 1.0 / (1.0 + math.exp(-v(1))))
-
-  /** A fitted Spark ML model behind the shared [[AlarmModel]] API. The only
+  /** A fitted Spark ML model behind the shared [[AlarmModel]] API, scored
+    * one vector at a time with the model's own per-row calls. The only
     * per-algorithm part is the source of `p_true`: the class-1 probability
     * of a probabilistic model (RF, LR), else the class-1 margin squashed
     * through a sigmoid (LinearSVC has no probability output). */
-  final case class SparkModel(name: String, m: ClassificationModel[_, _]) extends AlarmModel {
-    def transform(df: DataFrame): DataFrame = {
-      val pTrue = m match {
-        case _: ProbabilisticClassificationModel[_, _] => pTrueFromProba(col("probability"))
-        case _                                         => pTrueFromMargin(col("rawPrediction"))
-      }
-      m.transform(df).withColumn("p_true", pTrue).drop("rawPrediction", "probability")
+  final case class SparkModel(name: String, m: ClassificationModel[Vector, _]) extends AlarmModel {
+    def pTrue(v: Vector): Double = m match {
+      case p: ProbabilisticClassificationModel[Vector @unchecked, _] => p.predictProbability(v)(1)
+      case _ => 1.0 / (1.0 + math.exp(-m.predictRaw(v)(1)))
     }
+    def predict(v: Vector): Double = m.predict(v)
   }
 
   /** Random Forest (Table 3). */

@@ -44,8 +44,8 @@ class AlarmPipelineSpec extends SparkSpec {
   }
 
   test("prepare emits encoded columns only") {
-    assert(prepared.train.columns.toSet == Set("feat_idx", "features", "label"))
-    assert(prepared.test.columns.toSet == Set("feat_idx", "features", "label"))
+    assert(prepared.train.columns.toSet == Set("features", "label"))
+    assert(prepared.test.columns.toSet == Set("features", "label"))
   }
 
   test("the split is deterministic in the seed and disjoint") {

@@ -64,8 +64,8 @@ class EndToEndSpec extends SparkSpec {
     val scored = service.verify(batch)
     val timed = EndToEnd.verdicts(scored)
     val plan = timed.queryExecution.optimizedPlan.toString
-    // Encoder (feat_idx, features) and model (probability, p_true) UDFs,
-    // applied to the encoder's input struct.
+    // The encoder UDF (features, over the raw columns' struct) and the
+    // model's p_true and prediction UDFs.
     assert(udfs(timed) >= 3 && plan.contains("UDF(struct(") && plan.contains("p_true"), plan)
     // The seed's timer, a count() over the scored columns, is pruned to a scan.
     assert(udfs(scored.select("p_true", "prediction").groupBy().count()) == 0)

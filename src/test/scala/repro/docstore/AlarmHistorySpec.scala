@@ -2,10 +2,15 @@ package repro.docstore
 
 import java.nio.charset.StandardCharsets
 import java.nio.file.Files
+import java.util.concurrent.ConcurrentLinkedQueue
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 import org.scalacheck.{Gen, Prop, Test}
 import org.scalacheck.rng.Seed
+import org.scalatest.concurrent.Eventually._
+import org.scalatest.time.SpanSugar._
+import scala.jdk.CollectionConverters._
 import repro.{Oracle, SparkSpec, TestFixtures}
 
 class AlarmHistorySpec extends SparkSpec {
@@ -44,6 +49,32 @@ class AlarmHistorySpec extends SparkSpec {
     assert(store.count("alarms") == 800)
     assert(history.historyDf.columns.contains("ts_epoch"))
     assert(!history.historyDf.columns.contains("ts"))
+  }
+
+  test("a history fed only by ingest answers its first histogram with one Spark job") {
+    val alarms = TestFixtures.sitasys(spark).limit(300)
+    val h = new AlarmHistory(spark, new DocStore(spark))
+    h.ingest(alarms)
+    val devices = alarms.select("device_addr").distinct().limit(5).collect().map(_.getString(0)).toSeq
+    val groups = new ConcurrentLinkedQueue[String]()
+    val listener = new SparkListener {
+      override def onJobStart(e: SparkListenerJobStart): Unit = {
+        groups.add(String.valueOf(e.properties.getProperty("spark.jobGroup.id"))); ()
+      }
+    }
+    val sc = spark.sparkContext
+    sc.addSparkListener(listener)
+    try {
+      sc.setJobGroup("first-histogram", "first histogram")
+      assert(h.histogram(devices, 0L).collect().nonEmpty)
+      sc.setJobGroup("sentinel", "sentinel")
+      sc.parallelize(Seq(1), 1).count()
+      sc.clearJobGroup()
+      // Listener events arrive asynchronously, in order: once the sentinel's
+      // job is seen, every job of the histogram has been seen.
+      eventually(timeout(10.seconds)) { assert(groups.contains("sentinel")) }
+      assert(groups.asScala.count(_ == "first-histogram") == 1, groups)
+    } finally sc.removeSparkListener(listener)
   }
 
   test("ingest is additive (long-term storage)") {

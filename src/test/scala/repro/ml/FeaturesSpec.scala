@@ -21,14 +21,14 @@ class FeaturesSpec extends SparkSpec {
   }
 
   test("each row activates exactly one index per column") {
-    val out = enc.transform(df).select("feat_idx").collect()
-    out.foreach(r => assert(r.getSeq[Int](0).size == 2))
+    val out = enc.transform(df).select("features").collect()
+    out.foreach(r => assert(r.getAs[SparseVector](0).indices.length == 2))
   }
 
   test("indices stay within the feature space and respect column blocks") {
-    val out = enc.transform(df).select("feat_idx").collect()
+    val out = enc.transform(df).select("features").collect()
     out.foreach { r =>
-      val idx = r.getSeq[Int](0)
+      val idx = r.getAs[SparseVector](0).indices
       val (zi, ai) = (idx(0), idx(1))
       assert(zi >= 0 && zi < 3)
       assert(ai >= 3 && ai < 7)
@@ -56,17 +56,17 @@ class FeaturesSpec extends SparkSpec {
   }
 
   test("the sparse vector mirrors the active indices with 1.0 weights") {
-    enc.transform(df).select("feat_idx", "features").collect().foreach { r =>
-      val v = r.getAs[SparseVector](1)
+    enc.transform(df).select("zip", "alarm_type", "features").collect().foreach { r =>
+      val v = r.getAs[SparseVector](2)
       assert(v.size == enc.dim)
-      assert(v.indices.toSeq == r.getSeq[Int](0).sorted)
+      assert(v.indices.toSeq == enc.indicesOf(Seq(r.getString(0), r.getString(1))).toSeq.sorted)
       assert(v.values.forall(_ == 1.0))
     }
   }
 
   test("transform adds features vector and double label") {
     val out = enc.transform(df)
-    assert(out.columns.contains("feat_idx") && out.columns.contains("features"))
+    assert(!out.columns.contains("feat_idx") && out.columns.contains("features"))
     val first = out.select("features", "label").head()
     assert(first.getAs[SparseVector](0).size == enc.dim)
     assert(first.get(1).isInstanceOf[Double])
@@ -76,7 +76,7 @@ class FeaturesSpec extends SparkSpec {
     val dfi = Seq((1, "a", 1), (2, "b", 0)).toDF("hour", "x", "label")
     val e = CategoricalEncoder.fit(dfi, Seq("hour", "x"))
     assert(e.dim == 6)
-    val out = e.transform(dfi).select("feat_idx").collect()
+    val out = e.transform(dfi).select("features").collect()
     assert(out.length == 2)
   }
 
@@ -89,7 +89,7 @@ class FeaturesSpec extends SparkSpec {
     val train = Seq(("a", 1)).toDF("c", "label")
     val test_ = Seq(("b", 0)).toDF("c", "label")
     val e = CategoricalEncoder.fit(train, Seq("c"))
-    val out = e.transform(test_).select("feat_idx").head().getSeq[Int](0)
+    val out = e.transform(test_).select("features").head().getAs[SparseVector](0).indices
     assert(out.head == 1) // unseen bucket, not a new index
   }
 }

@@ -10,8 +10,8 @@ class SparkClassifiersSpec extends SparkSpec {
 
   import spark.implicits._
 
-  /** Separable two-column categorical dataset, encoded. */
-  private lazy val encoded: DataFrame = {
+  /** Separable two-column categorical dataset. */
+  private lazy val raw: DataFrame = {
     val rng = new Random(17)
     val rows = (0 until 600).map { _ =>
       val y = rng.nextInt(2)
@@ -19,9 +19,10 @@ class SparkClassifiersSpec extends SparkSpec {
       val b = Seq("x", "y", "z")(rng.nextInt(3))
       (a, b, y)
     }
-    val df = rows.toDF("a", "b", "label")
-    CategoricalEncoder.fit(df, Seq("a", "b")).transform(df).cache()
+    rows.toDF("a", "b", "label")
   }
+  private lazy val encoder = CategoricalEncoder.fit(raw, Seq("a", "b"))
+  private lazy val encoded: DataFrame = encoder.transform(raw).cache()
 
   private val classifiers: Seq[AlarmClassifier] = Seq(
     SparkClassifiers.RandomForest(Hyperparams.RandomForestParams(maxDepth = 5, numTrees = 10)),
@@ -68,6 +69,26 @@ class SparkClassifiersSpec extends SparkSpec {
         else raw.select("probability").collect().map(_.getAs[Vector](0)(1))
       assert(pTrue.length == encoded.count(), clf.name)
       assert(pTrue.toSeq == expected.toSeq, clf.name)
+    }
+  }
+
+  test("each Spark wrapper's prediction is its model's own transform prediction") {
+    for (clf <- classifiers.filterNot(_.name == "DNN")) {
+      val model = clf.fit(encoded).asInstanceOf[SparkClassifiers.SparkModel]
+      val got = model.transform(encoded).select("prediction").collect().map(_.getDouble(0))
+      val expected = model.m.transform(encoded).select("prediction").collect().map(_.getDouble(0))
+      assert(got.length == encoded.count(), clf.name)
+      assert(got.toSeq == expected.toSeq, clf.name)
+    }
+  }
+
+  test("the DNN's p_true from features is Net.pTrue on the encoder's indices") {
+    val model = classifiers.last.fit(encoded).asInstanceOf[Mlp.DnnModel]
+    val rows = model.transform(encoded).select("a", "b", "p_true").collect()
+    assert(rows.length == 600)
+    rows.foreach { r =>
+      val idx = encoder.indicesOf(Seq(r.getString(0), r.getString(1)))
+      assert(r.getDouble(2) == model.net.pTrue(idx), r)
     }
   }
 
