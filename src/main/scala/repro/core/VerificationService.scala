@@ -1,8 +1,7 @@
 package repro.core
 
 import org.apache.spark.SparkContext
-import org.apache.spark.broadcast.Broadcast
-import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.{Column, DataFrame}
 import org.apache.spark.sql.functions._
 import repro.ml.{AlarmModel, CategoricalEncoder}
 
@@ -14,30 +13,35 @@ import repro.ml.{AlarmModel, CategoricalEncoder}
   * alarms with `p_true` below it are routed to the customer's phone first;
   * only those above go straight to the Alarm Receiving Center.
   *
-  * The encoder and model reach the executors as one broadcast variable,
-  * made on the first `verify` of each SparkContext; the scoring UDFs hold
-  * only that handle, so a batch's tasks do not carry the vocabularies and
-  * the fitted model again.
+  * The encoder and model reach the executors as one broadcast, made on the
+  * first `verify` of each SparkContext; the scoring UDFs hold only that
+  * handle, so no batch's tasks carry the vocabularies and model again.
   */
 final class VerificationService(val encoder: CategoricalEncoder,
                                 val model: AlarmModel,
                                 val threshold: Double = 0.5) {
 
-  // The context and broadcast of the last verify; a new context gets a new one.
-  private var shipped: Option[(SparkContext, Broadcast[(CategoricalEncoder, AlarmModel)])] = None
+  // The scoring UDFs of the last verify's SparkContext, over the broadcast
+  // they read; a new context gets new ones.
+  private var scoring: Option[(SparkContext, (Column, Column, Column))] = None
 
-  private def handle(sc: SparkContext) = synchronized {
-    if (!shipped.exists(_._1 eq sc)) shipped = Some((sc, sc.broadcast((encoder, model))))
-    shipped.get._2
+  private def udfs(sc: SparkContext) = synchronized {
+    if (!scoring.exists(_._1 eq sc)) {
+      val b = sc.broadcast((encoder, model))
+      val (pTrue, prediction) = AlarmModel.scores(() => b.value._2)
+      scoring = Some((sc, (CategoricalEncoder.features(encoder.columns, () => b.value._1), pTrue, prediction)))
+    }
+    scoring.get._2
   }
 
   /** Score raw alarms: adds `features`, `p_true`, `prediction` and the
     * routing decision `send_to_arc`. */
   def verify(alarms: DataFrame): DataFrame = {
-    val b = handle(alarms.sparkSession.sparkContext)
-    val (pTrue, prediction) = AlarmModel.scores(() => b.value._2)
-    alarms.select(col("*"), CategoricalEncoder.features(encoder.columns, () => b.value._1).as("features"))
-      .select(col("*"), pTrue, prediction)
-      .withColumn("send_to_arc", col("p_true") >= lit(threshold))
+    val (features, pTrue, prediction) = udfs(alarms.sparkSession.sparkContext)
+    // `pTrue` appears twice in one projection, which evaluates it once per
+    // row (common subexpression elimination).
+    alarms.select(col("*"), features.as("features"))
+      .select(col("*"), pTrue.as("p_true"), prediction.as("prediction"),
+              (pTrue >= lit(threshold)).as("send_to_arc"))
   }
 }

@@ -27,18 +27,16 @@ trait AlarmModel extends Serializable {
   /** Adds `p_true` and `prediction` from the `features` column. */
   def transform(df: DataFrame): DataFrame = {
     val (pTrue, prediction) = AlarmModel.scores(() => this)
-    df.select(col("*"), pTrue, prediction)
+    df.select(col("*"), pTrue.as("p_true"), prediction.as("prediction"))
   }
 }
 
 object AlarmModel {
-  /** The `p_true` and `prediction` columns over `features`, one UDF each.
-    * Their closures hold only `model`, so a caller decides what ships with
-    * each task (the model itself, or a broadcast handle to it). */
+  /** `p_true` and `prediction` over the `features` column, one UDF each;
+    * their closures hold only `model` (the model, or a broadcast of it). */
   def scores(model: () => AlarmModel): (Column, Column) = {
     val f = col("features")
-    (udf((v: Vector) => model().pTrue(v)).apply(f).as("p_true"),
-     udf((v: Vector) => model().predict(v)).apply(f).as("prediction"))
+    (udf((v: Vector) => model().pTrue(v)).apply(f), udf((v: Vector) => model().predict(v)).apply(f))
   }
 }
 

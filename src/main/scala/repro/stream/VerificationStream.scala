@@ -15,8 +15,9 @@ import repro.streamlog.AlarmSerializer
   * batch frame or a streaming source (MemoryStream in tests):
   *
   *   serialized alarm JSON → deserialize UDF → a-priori-risk annotation UDF
-  *   (text-analytics product) → one-hot encoding UDFs → model scoring →
-  *   verification + confidence + ARC routing decision.
+  *   (text-analytics product) → `VerificationService.verify` (one-hot
+  *   encoder UDF, then the model's `p_true` and `prediction` UDFs) → ARC
+  *   routing decision.
   */
 object VerificationStream {
 

@@ -59,7 +59,7 @@ class AlarmHistorySpec extends SparkSpec {
     val groups = new ConcurrentLinkedQueue[String]()
     val listener = new SparkListener {
       override def onJobStart(e: SparkListenerJobStart): Unit = {
-        groups.add(String.valueOf(e.properties.getProperty("spark.jobGroup.id"))); ()
+        groups.add(Option(e.properties).flatMap(p => Option(p.getProperty("spark.jobGroup.id"))).getOrElse("")); ()
       }
     }
     val sc = spark.sparkContext
@@ -69,12 +69,11 @@ class AlarmHistorySpec extends SparkSpec {
       assert(h.histogram(devices, 0L).collect().nonEmpty)
       sc.setJobGroup("sentinel", "sentinel")
       sc.parallelize(Seq(1), 1).count()
-      sc.clearJobGroup()
       // Listener events arrive asynchronously, in order: once the sentinel's
       // job is seen, every job of the histogram has been seen.
       eventually(timeout(10.seconds)) { assert(groups.contains("sentinel")) }
       assert(groups.asScala.count(_ == "first-histogram") == 1, groups)
-    } finally sc.removeSparkListener(listener)
+    } finally { sc.clearJobGroup(); sc.removeSparkListener(listener) }
   }
 
   test("ingest is additive (long-term storage)") {
