@@ -17,12 +17,36 @@ import repro.ml.Hyperparams
 class Table8TrainingTimeBench extends SparkSpec {
 
   private lazy val cells = BenchEnv.accuracyCells(spark)
-  private def t(ds: String, algo: String): Double =
-    cells.find(c => c.dataset == ds && c.algorithm == algo).get.trainTimeSec
+  private def cell(ds: String, algo: String): Reports.AccuracyCell =
+    cells.find(c => c.dataset == ds && c.algorithm == algo).get
+  private def t(ds: String, algo: String): Double = cell(ds, algo).trainTimeSec
+
+  /** `BENCH_table8.json`: per dataset, the training set's partitions, the
+    * training seconds of each algorithm and the optimizer iterations of the
+    * two linear learners. */
+  private def benchJson: String = {
+    def s(x: Double): Double = math.round(x * 1000) / 1000.0
+    val rows = Seq("Sitasys", "LFB", "SF").map { ds =>
+      val secs = cells.filter(_.dataset == ds).map(c => s""""${c.algorithm}": ${s(c.trainTimeSec)}""")
+      def iters(algo: String) = cell(ds, algo).iterations.fold("null")(_.toString)
+      s"""    {"dataset": "$ds", "train_partitions": ${cell(ds, "LR").trainPartitions}, """ +
+        s""""train_s": {${secs.mkString(", ")}}, "lr_iterations": ${iters("LR")}, "svm_iterations": ${iters("SVM")}}"""
+    }
+    s"""{
+  "table": "table8",
+  "sf": ${BenchEnv.sf},
+  "nproc": ${BenchEnv.nproc},
+  "git_sha": "${BenchEnv.gitSha}",
+  "datasets": [
+${rows.mkString(",\n")}
+  ]
+}"""
+  }
 
   test("Table 8: measured training times") {
     BenchEnv.section(s"Table 8: training time [sec] at sf=${BenchEnv.sf}")
     println(Reports.formatGrid(cells, trainingTime = true))
+    println(s"wrote ${BenchEnv.writeBench("table8", benchJson)}")
     assert(cells.size == 12)
     assert(cells.forall(_.trainTimeSec > 0))
   }

@@ -95,18 +95,24 @@ object Reports {
   // Fig. 10 (accuracy per algorithm × dataset) + Table 8 (training time)
   // -------------------------------------------------------------------------
 
+  /** One algorithm × dataset cell; `iterations` are the optimizer
+    * iterations of a linear learner (Table 8), `trainPartitions` the
+    * partitions of the encoded training set it was handed. */
   final case class AccuracyCell(dataset: String, algorithm: String,
-                                accuracy: Double, trainTimeSec: Double)
+                                accuracy: Double, trainTimeSec: Double,
+                                iterations: Option[Int], trainPartitions: Int)
 
   def accuracyAndTraining(spark: SparkSession, sf: Double,
                           cities: Vector[Gazetteer.City]): Seq[AccuracyCell] =
     for {
       (name, df, features) <- datasets(spark, sf, cities)
       prepared = AlarmPipeline.prepare(df, features)
+      partitions = prepared.train.rdd.getNumPartitions
       clf <- AlarmPipeline.algorithms(MlKnobs())
     } yield {
       val r = AlarmPipeline.evaluate(clf, prepared)
-      AccuracyCell(name, r.algorithm, r.accuracy, r.trainTimeSec)
+      AccuracyCell(name, r.algorithm, r.accuracy, r.trainTimeSec,
+        SparkClassifiers.totalIterations(r.model), partitions)
     }
 
   /** The algorithm × dataset grid of Fig. 10 (`trainingTime = false`:

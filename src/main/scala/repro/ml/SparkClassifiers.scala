@@ -1,7 +1,7 @@
 package repro.ml
 
-import org.apache.spark.ml.classification.{ClassificationModel, LinearSVC, LogisticRegression,
-  ProbabilisticClassificationModel, RandomForestClassifier}
+import org.apache.spark.ml.classification.{ClassificationModel, LinearSVC, LinearSVCModel,
+  LogisticRegression, LogisticRegressionModel, ProbabilisticClassificationModel, RandomForestClassifier}
 import org.apache.spark.ml.linalg.Vector
 import org.apache.spark.sql.DataFrame
 
@@ -24,6 +24,14 @@ object SparkClassifiers {
     def predict(v: Vector): Double = m.predict(v)
   }
 
+  /** The optimizer iterations a fitted linear model (LR, SVM) trained
+    * for, from its training summary; None for any other model. */
+  def totalIterations(model: AlarmModel): Option[Int] = model match {
+    case SparkModel(_, m: LogisticRegressionModel) if m.hasSummary => Some(m.summary.totalIterations)
+    case SparkModel(_, m: LinearSVCModel) if m.hasSummary => Some(m.summary.totalIterations)
+    case _ => None
+  }
+
   /** Random Forest (Table 3). */
   final case class RandomForest(params: Hyperparams.RandomForestParams = Hyperparams.rf,
                                 seed: Long = 42) extends AlarmClassifier {
@@ -34,6 +42,15 @@ object SparkClassifiers {
       .setSeed(seed)
       .fit(train))
   }
+
+  /** The training set of a linear learner: one partition. Spark ML's
+    * `RDDLossFunction` sums each optimizer iteration's loss and gradient
+    * with `treeAggregate(..., finalAggregateOnExecutor = true)`, which over
+    * more than one partition is a two-stage job that shuffles the partial
+    * sums onto one reducer task. Over one partition every iteration is one
+    * single-task stage; at the sizes trained here Spark's per-job and
+    * per-stage fixed cost outweighs the parallel gradient it gives up. */
+  private def onePartition(train: DataFrame): DataFrame = train.coalesce(1)
 
   /** Logistic Regression (Table 5). A touch of L2 keeps the high-cardinality
     * ZIP one-hots from blowing up via complete separation when only a few
@@ -46,7 +63,7 @@ object SparkClassifiers {
       .setMaxIter(params.maxIter)
       .setTol(params.tol)
       .setRegParam(regParam)
-      .fit(train))
+      .fit(onePartition(train)))
   }
 
   /** Linear SVM (Table 4). The paper used mllib's SVMWithSGD (stepSize /
@@ -58,6 +75,6 @@ object SparkClassifiers {
     def fit(train: DataFrame): AlarmModel = SparkModel(name, new LinearSVC()
       .setMaxIter(params.maxIter)
       .setRegParam(params.regParam)
-      .fit(train))
+      .fit(onePartition(train)))
   }
 }

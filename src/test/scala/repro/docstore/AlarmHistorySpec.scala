@@ -2,16 +2,11 @@ package repro.docstore
 
 import java.nio.charset.StandardCharsets
 import java.nio.file.Files
-import java.util.concurrent.ConcurrentLinkedQueue
-import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 import org.scalacheck.{Gen, Prop, Test}
 import org.scalacheck.rng.Seed
-import org.scalatest.concurrent.Eventually._
-import org.scalatest.time.SpanSugar._
-import scala.jdk.CollectionConverters._
-import repro.{Oracle, SparkSpec, TestFixtures}
+import repro.{Oracle, SparkJobs, SparkSpec, TestFixtures}
 
 class AlarmHistorySpec extends SparkSpec {
 
@@ -56,24 +51,9 @@ class AlarmHistorySpec extends SparkSpec {
     val h = new AlarmHistory(spark, new DocStore(spark))
     h.ingest(alarms)
     val devices = alarms.select("device_addr").distinct().limit(5).collect().map(_.getString(0)).toSeq
-    val groups = new ConcurrentLinkedQueue[String]()
-    val listener = new SparkListener {
-      override def onJobStart(e: SparkListenerJobStart): Unit = {
-        groups.add(Option(e.properties).flatMap(p => Option(p.getProperty("spark.jobGroup.id"))).getOrElse("")); ()
-      }
-    }
-    val sc = spark.sparkContext
-    sc.addSparkListener(listener)
-    try {
-      sc.setJobGroup("first-histogram", "first histogram")
-      assert(h.histogram(devices, 0L).collect().nonEmpty)
-      sc.setJobGroup("sentinel", "sentinel")
-      sc.parallelize(Seq(1), 1).count()
-      // Listener events arrive asynchronously, in order: once the sentinel's
-      // job is seen, every job of the histogram has been seen.
-      eventually(timeout(10.seconds)) { assert(groups.contains("sentinel")) }
-      assert(groups.asScala.count(_ == "first-histogram") == 1, groups)
-    } finally { sc.clearJobGroup(); sc.removeSparkListener(listener) }
+    val (hist, jobs) = SparkJobs.recorded(spark)(h.histogram(devices, 0L).collect())
+    assert(hist.nonEmpty)
+    assert(jobs.size == 1, jobs)
   }
 
   test("ingest is additive (long-term storage)") {

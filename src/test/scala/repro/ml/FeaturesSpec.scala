@@ -1,7 +1,9 @@
 package repro.ml
 
 import org.apache.spark.ml.linalg.SparseVector
-import repro.SparkSpec
+import org.scalacheck.{Gen, Prop, Test}
+import org.scalacheck.rng.Seed
+import repro.{SparkJobs, SparkSpec}
 
 class FeaturesSpec extends SparkSpec {
 
@@ -91,5 +93,41 @@ class FeaturesSpec extends SparkSpec {
     val e = CategoricalEncoder.fit(train, Seq("c"))
     val out = e.transform(test_).select("features").head().getAs[SparseVector](0).indices
     assert(out.head == 1) // unseen bucket, not a new index
+  }
+
+  test("a null and a literal NullToken are one value: indices are dense, the unseen bucket last") {
+    val d = Seq(Some(CategoricalEncoder.NullToken), None, Some("a")).toDF("c")
+    val e = CategoricalEncoder.fit(d, Seq("c"))
+    val n = e.valueIndex("c").size
+    assert(e.valueIndex("c").values.toSet == (0 until n).toSet)
+    assert(e.dim == n + 1)
+    assert(e.indicesOf(Seq("unseen")).head == n)
+    assert(e.indicesOf(Seq("a")).head != n)
+    assert(e.indicesOf(Seq(null)).toSeq == e.indicesOf(Seq(CategoricalEncoder.NullToken)).toSeq)
+  }
+
+  test("fit learns every column's vocabulary in one single-stage Spark job") {
+    val spread = df.repartition(4).cache()
+    assert(spread.count() == 3)
+    val (e, jobs) = SparkJobs.recorded(spark)(CategoricalEncoder.fit(spread, Seq("zip", "alarm_type", "label")))
+    assert(jobs == Seq(Seq(4)), "tasks per stage per job")
+    assert(e.valueIndex == enc.valueIndex + ("label" -> Map("0" -> 0, "1" -> 1)))
+    spread.unpersist(); ()
+  }
+
+  test("vocabularies equal the sorted distinct string values, null read as NullToken (seeded property)") {
+    val genRows = Gen.listOf(Gen.zip(
+      Gen.option(Gen.oneOf("4001", "4002", "B", "a", "", CategoricalEncoder.NullToken)),
+      Gen.option(Gen.choose(-3, 30))))
+    def reference(values: Seq[Option[Any]]): Map[String, Int] =
+      values.map(_.fold(CategoricalEncoder.NullToken)(_.toString)).distinct.sorted.zipWithIndex.toMap
+    val prop = Prop.forAll(genRows) { rows =>
+      val e = CategoricalEncoder.fit(rows.toDF("s", "i"), Seq("s", "i"))
+      e.valueIndex("s") == reference(rows.map(_._1)) && e.valueIndex("i") == reference(rows.map(_._2)) &&
+        e.dim == e.valueIndex("s").size + e.valueIndex("i").size + 2
+    }
+    val result = Test.check(Test.Parameters.default.withMinSuccessfulTests(40)
+      .withInitialSeed(Seed(20180326L)).withWorkers(1), prop)
+    assert(result.passed, result.status)
   }
 }

@@ -1,9 +1,10 @@
 package repro.ml
 
+import org.apache.spark.ml.classification.{LinearSVC, LogisticRegression}
 import org.apache.spark.ml.linalg.Vector
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
-import repro.SparkSpec
+import repro.{SparkJobs, SparkSpec}
 import scala.util.Random
 
 class SparkClassifiersSpec extends SparkSpec {
@@ -90,6 +91,25 @@ class SparkClassifiersSpec extends SparkSpec {
       val idx = encoder.indicesOf(Seq(r.getString(0), r.getString(1)))
       assert(r.getDouble(2) == model.net.pTrue(idx), r)
     }
+  }
+
+  test("LR and SVM fit with single-task, single-stage jobs and score as a direct Spark ML fit") {
+    val spread = encoded.repartition(4).cache()
+    assert(spread.rdd.getNumPartitions == 4 && spread.count() == 600)
+    val lr = Hyperparams.lr; val svm = Hyperparams.svm.copy(maxIter = 30)
+    val cases = Seq(
+      SparkClassifiers.Logistic(lr) ->
+        new LogisticRegression().setMaxIter(lr.maxIter).setTol(lr.tol).setRegParam(1e-3).fit(spread),
+      SparkClassifiers.Svm(svm) ->
+        new LinearSVC().setMaxIter(svm.maxIter).setRegParam(svm.regParam).fit(spread))
+    val vectors = spread.select("features").collect().map(_.getAs[Vector](0))
+    for ((clf, direct) <- cases) {
+      val (model, jobs) = SparkJobs.recorded(spark)(clf.fit(spread))
+      assert(jobs.nonEmpty && jobs.forall(_ == Seq(1)), s"${clf.name}: tasks per stage per job $jobs")
+      val reference = SparkClassifiers.SparkModel(clf.name, direct)
+      vectors.foreach(v => assert(math.abs(model.pTrue(v) - reference.pTrue(v)) <= 1e-6, clf.name))
+    }
+    spread.unpersist(); ()
   }
 
   test("classifier names match the paper's abbreviations") {
