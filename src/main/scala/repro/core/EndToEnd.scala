@@ -1,6 +1,6 @@
 package repro.core
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.SparkSession
 import repro.data.AlarmSchema
 import repro.docstore.AlarmHistory
 import repro.streamlog.{AlarmEvent, AlarmSerializer, EmbeddedLog, LogConsumer}
@@ -56,7 +56,7 @@ final class EndToEnd(spark: SparkSession,
     // ML part: classify + confidence for every alarm of the window. The
     // verdicts are collected: a count() would let the optimizer prune the
     // encoder and model away.
-    val nScored = EndToEnd.verdicts(service.verify(batchDf)).collect().length.toLong
+    val nScored = service.score(batchDf).collect().length.toLong
     val t4 = System.nanoTime()
 
     batchDf.unpersist()
@@ -86,8 +86,4 @@ object EndToEnd {
                                historySec: Double, mlSec: Double) {
     def totalSec: Double = deserializeSec + streamSec + historySec + mlSec
   }
-
-  /** What the consumer hands on per alarm: the ARC needs the alarm id, the
-    * verification, its confidence and the routing decision. */
-  def verdicts(scored: DataFrame): DataFrame = scored.select("id", "prediction", "p_true", "send_to_arc")
 }

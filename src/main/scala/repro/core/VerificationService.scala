@@ -44,4 +44,9 @@ final class VerificationService(val encoder: CategoricalEncoder,
       .select(col("*"), pTrue.as("p_true"), prediction.as("prediction"),
               (pTrue >= lit(threshold)).as("send_to_arc"))
   }
+
+  /** What both consumers hand on per alarm: the ARC needs the alarm id, the
+    * verification, its confidence and the routing decision. */
+  def score(alarms: DataFrame): DataFrame =
+    verify(alarms).select("id", "prediction", "p_true", "send_to_arc")
 }

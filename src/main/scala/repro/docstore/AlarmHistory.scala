@@ -15,21 +15,20 @@ import scala.collection.mutable
   * Next to the raw documents, the history keeps an in-memory per-device index
   * `device_addr → ts_epoch` of every document, so a window's histogram reads
   * only its devices' alarms instead of re-parsing the whole collection. The
-  * index records the [[DocStore.version]] it reflects: `ingest` indexes the
-  * rows it stores, and any other write to the collection (`insert`,
-  * `insertAll`, `load`, `drop`) changes the version, so the next `ingest` or
-  * `histogram` rebuilds the index from the documents first. A new history
-  * over an empty collection rebuilds at its first `ingest` without a Spark
-  * job, so its first histogram reads the index too.
+  * history is the only writer of its collection: `ingest` stores the
+  * documents and indexes them in one step, and counts what it stored. If the
+  * collection holds any other number of documents — a second history over
+  * the same store, or a store filled before this history was built — the
+  * index no longer covers it, so `ingest` and `histogram` fail rather than
+  * answer from it.
   */
-final class AlarmHistory(spark: SparkSession, store: DocStore,
-                         collection: String = "alarms") {
+final class AlarmHistory(spark: SparkSession, store: DocStore) {
   import AlarmHistory._
 
   // Guarded by `store`'s lock, which DocStore's own methods take: an insert
-  // and the version it leaves behind are read as one step.
+  // and the count it leaves behind are read as one step.
   private val index = mutable.HashMap.empty[String, mutable.ArrayBuffer[Long]]
-  private var indexedVersion = -1L
+  private var stored = 0L
 
   /** Ingest an alarm DataFrame (any schema containing device_addr + ts). */
   def ingest(alarms: DataFrame): Unit = {
@@ -38,20 +37,20 @@ final class AlarmHistory(spark: SparkSession, store: DocStore,
       else alarms.withColumn("ts_epoch", unix_timestamp(col("ts")))
     val rows = withEpoch.drop("ts").select(DeviceCol, EpochCol, to_json(struct(col("*")))).collect()
     store.synchronized {
-      if (indexedVersion != store.version(collection)) rebuild()
-      store.insertAll(collection, rows.iterator.map(_.getString(2)))
+      checkSoleWriter()
+      store.insertAll(Collection, rows.iterator.map(_.getString(2)))
       rows.foreach(add)
-      indexedVersion = store.version(collection)
+      stored += rows.length
     }
   }
 
-  def historyDf: DataFrame = store.toDF(collection)
+  def historyDf: DataFrame = store.toDF(Collection)
 
   /** Histogram: per device that appears in `deviceAddrs`, the number of
     * alarms per `bucketSec`-wide time bucket since `fromEpoch`. */
   def histogram(deviceAddrs: Seq[String], fromEpoch: Long, bucketSec: Long = 3600): DataFrame = {
     val perDevice = store.synchronized {
-      if (indexedVersion != store.version(collection)) rebuild()
+      checkSoleWriter()
       deviceAddrs.distinct.flatMap(d => index.get(d).map(ts => (d, ts.filter(_ >= fromEpoch).toArray)))
     }
     // An RDD rather than a local Seq: over a LocalRelation the optimizer
@@ -71,18 +70,18 @@ final class AlarmHistory(spark: SparkSession, store: DocStore,
     if (!r.isNullAt(0) && !r.isNullAt(1))
       index.getOrElseUpdate(r.getString(0), mutable.ArrayBuffer.empty[Long]) += r.getLong(1)
 
-  private def rebuild(): Unit = {
-    index.clear()
-    if (store.count(collection) > 0) {
-      val df = historyDf
-      if (df.columns.contains("device_addr") && df.columns.contains("ts_epoch"))
-        df.select(DeviceCol, EpochCol).collect().foreach(add)
-    }
-    indexedVersion = store.version(collection)
+  private def checkSoleWriter(): Unit = {
+    val n = store.count(Collection)
+    if (n != stored) throw new IllegalStateException(
+      s"collection '$Collection' holds $n documents but this history stored $stored: " +
+        "it has another writer, so the history's index does not cover it")
   }
 }
 
 object AlarmHistory {
+  /** The collection a history stores its alarms in. */
+  private val Collection = "alarms"
+
   /** One index entry as the histogram query reads it. */
   final case class Entry(device_addr: String, ts_epoch: Long)
 

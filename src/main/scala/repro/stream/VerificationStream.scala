@@ -14,10 +14,9 @@ import repro.streamlog.AlarmSerializer
   * pipeline is a pure DataFrame transformation, so it runs identically on a
   * batch frame or a streaming source (MemoryStream in tests):
   *
-  *   serialized alarm JSON → deserialize UDF → a-priori-risk annotation UDF
-  *   (text-analytics product) → `VerificationService.verify` (one-hot
-  *   encoder UDF, then the model's `p_true` and `prediction` UDFs) → ARC
-  *   routing decision.
+  *   serialized alarm JSON → deserialize UDF → `VerificationService.score`
+  *   (one-hot encoder UDF, the model's `p_true` and `prediction` UDFs, ARC
+  *   routing decision), the same call the micro-batch `EndToEnd` makes.
   */
 object VerificationStream {
 
@@ -29,15 +28,6 @@ object VerificationStream {
   }
 
   /** Build the scored stream from a frame with a `value: String` column. */
-  def build(serialized: DataFrame,
-            ser: AlarmSerializer,
-            service: VerificationService,
-            riskByZip: Map[String, Double]): DataFrame = {
-    val risk  = udf((zip: String) => riskByZip.getOrElse(zip, 0.0))
-    val parsed = parse(serialized, ser)
-      .withColumn("a_priori_risk", risk(col("zip")))
-    service.verify(parsed)
-      .select("id", "device_addr", "zip", "alarm_type", "a_priori_risk",
-              "p_true", "prediction", "send_to_arc")
-  }
+  def build(serialized: DataFrame, ser: AlarmSerializer, service: VerificationService): DataFrame =
+    service.score(parse(serialized, ser))
 }

@@ -1,8 +1,7 @@
 package repro.streamlog
 
 /** The handcrafted Producer application of Section 5.5.1: writes serialized
-  * alarms into the log, optionally at a controlled rate (alarms/second), and
-  * reports achieved throughput.
+  * alarms into the log and reports achieved throughput.
   */
 final class LogProducer(log: EmbeddedLog, ser: AlarmSerializer) {
 
@@ -14,20 +13,6 @@ final class LogProducer(log: EmbeddedLog, ser: AlarmSerializer) {
     val t0 = System.nanoTime()
     var i = 0
     while (i < events.length) { send(events(i)); i += 1 }
-    events.length / ((System.nanoTime() - t0) / 1e9)
-  }
-
-  /** Send at approximately `ratePerSec` (> 0), pacing in 10ms slices. */
-  def sendPaced(events: IndexedSeq[AlarmEvent], ratePerSec: Double): Double = {
-    require(ratePerSec > 0, s"ratePerSec must be positive, got $ratePerSec")
-    val t0 = System.nanoTime()
-    var i = 0
-    while (i < events.length) {
-      val due = t0 + (i / ratePerSec * 1e9).toLong
-      val now = System.nanoTime()
-      if (now < due) Thread.sleep(math.min(10L, (due - now) / 1000000L + 1))
-      send(events(i)); i += 1
-    }
     events.length / ((System.nanoTime() - t0) / 1e9)
   }
 }

@@ -61,14 +61,13 @@ class EndToEndSpec extends SparkSpec {
     val batch = TestFixtures.sitasys(spark).limit(100).cache()
     def udfs(q: org.apache.spark.sql.DataFrame): Int =
       "UDF".r.findAllMatchIn(q.queryExecution.optimizedPlan.toString).length
-    val scored = service.verify(batch)
-    val timed = EndToEnd.verdicts(scored)
+    val timed = service.score(batch)
     val plan = timed.queryExecution.optimizedPlan.toString
     // The encoder UDF (features, over the raw columns' struct) and the
     // model's p_true and prediction UDFs.
     assert(udfs(timed) >= 3 && plan.contains("UDF(struct(") && plan.contains("p_true"), plan)
     // The seed's timer, a count() over the scored columns, is pruned to a scan.
-    assert(udfs(scored.select("p_true", "prediction").groupBy().count()) == 0)
+    assert(udfs(service.verify(batch).select("p_true", "prediction").groupBy().count()) == 0)
     assert(timed.collect().length == 100)
     batch.unpersist()
   }

@@ -1,7 +1,5 @@
 package repro.docstore
 
-import java.nio.charset.StandardCharsets
-import java.nio.file.Files
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 import org.scalacheck.{Gen, Prop, Test}
@@ -150,44 +148,28 @@ class AlarmHistorySpec extends SparkSpec {
       Set(("d1", 0L, 1L), ("d1", 3600L, 2L), ("d1", 7200L, 2L)))
   }
 
-  test("documents inserted or loaded straight into the store reach the histogram") {
+  test("a history that is not its collection's only writer fails instead of answering") {
     import spark.implicits._
+    val batch = Seq(("d1", 100L)).toDF("device_addr", "ts_epoch")
+    def assertFails(h: AlarmHistory) = {
+      assertThrows[IllegalStateException](h.histogram(Seq("d1"), 0L))
+      assertThrows[IllegalStateException](h.ingest(batch))
+    }
+    // A second history over a store that another history has written.
     val s = new DocStore(spark)
-    val h = new AlarmHistory(spark, s)
-    h.ingest(Seq(("d1", 100L)).toDF("device_addr", "ts_epoch"))
-    assertIndexed(h, Seq("d1", "d2"), 0L, 3600)
-    s.insert("alarms", """{"device_addr":"d2","ts_epoch":200}""")
-    s.insertAll("alarms", epochDocs(Seq(("d1", 4000L), ("d2", 4100L))))
-    assert(assertIndexed(h, Seq("d1", "d2"), 0L, 3600) ==
-      Set(("d1", 0L, 1L), ("d1", 3600L, 1L), ("d2", 0L, 1L), ("d2", 3600L, 1L)))
-
-    val dir = Files.createTempDirectory("alarm-history").toString
-    val other = new DocStore(spark)
-    other.insertAll("alarms", epochDocs(Seq(("d2", 8000L))))
-    other.save(dir)
-    s.load(dir)
-    assert(assertIndexed(h, Seq("d2"), 0L, 3600) ==
-      Set(("d2", 0L, 1L), ("d2", 3600L, 1L), ("d2", 7200L, 1L)))
-    // An ingest after outside writes still leaves the index complete.
-    s.insert("alarms", """{"device_addr":"d3","ts_epoch":300}""")
-    h.ingest(Seq(("d3", 400L)).toDF("device_addr", "ts_epoch"))
-    assert(assertIndexed(h, Seq("d3"), 0L, 3600) == Set(("d3", 0L, 2L)))
-  }
-
-  test("a dropped collection empties the histogram, and a refill replaces it") {
-    import spark.implicits._
-    val s = new DocStore(spark)
-    val h = new AlarmHistory(spark, s)
-    h.ingest(Seq(("d1", 100L), ("d1", 200L)).toDF("device_addr", "ts_epoch"))
-    assert(assertIndexed(h, Seq("d1"), 0L, 3600) == Set(("d1", 0L, 2L)))
-    s.drop("alarms")
-    assert(h.histogram(Seq("d1"), 0L).count() == 0)
-    // Same document count as before the drop, different documents.
-    s.insertAll("alarms", epochDocs(Seq(("d2", 100L), ("d2", 4000L))))
-    assert(assertIndexed(h, Seq("d1", "d2"), 0L, 3600) == Set(("d2", 0L, 1L), ("d2", 3600L, 1L)))
-    s.drop("alarms")
-    h.ingest(Seq(("d1", 5000L)).toDF("device_addr", "ts_epoch"))
-    assert(assertIndexed(h, Seq("d1", "d2"), 0L, 3600) == Set(("d1", 3600L, 1L)))
+    val first = new AlarmHistory(spark, s)
+    val second = new AlarmHistory(spark, s)
+    first.ingest(batch)
+    assertFails(second)
+    assert(s.count("alarms") == 1, "a failed ingest stores nothing")
+    assert(assertIndexed(first, Seq("d1"), 0L, 3600) == Set(("d1", 0L, 1L)))
+    // A document written around the history after its ingest.
+    s.insert("alarms", """{"device_addr":"d1","ts_epoch":200}""")
+    assertFails(first)
+    // A store filled before the history was built.
+    val filled = new DocStore(spark)
+    filled.insertAll("alarms", epochDocs(Seq(("d1", 300L), ("d2", 400L))))
+    assertFails(new AlarmHistory(spark, filled))
   }
 
   test("stored documents are byte-identical to df.toJSON") {
@@ -202,11 +184,8 @@ class AlarmHistorySpec extends SparkSpec {
     for (df <- Seq(alarms, mixed)) {
       val s = new DocStore(spark)
       new AlarmHistory(spark, s).ingest(df)
-      val dir = Files.createTempDirectory("alarm-docs")
-      s.save(dir.toString)
-      val stored = new String(Files.readAllBytes(dir.resolve("alarms.jsonl")), StandardCharsets.UTF_8)
       val withEpoch = if (df.columns.contains("ts_epoch")) df else df.withColumn("ts_epoch", unix_timestamp(col("ts")))
-      assert(stored == withEpoch.drop("ts").toJSON.collect().mkString("\n"))
+      assert(s.documents("alarms") == withEpoch.drop("ts").toJSON.collect().toSeq)
     }
     alarms.unpersist()
   }

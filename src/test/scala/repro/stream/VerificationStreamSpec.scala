@@ -10,22 +10,20 @@ import repro.streamlog.{AlarmEvent, Serializers}
 
 class VerificationStreamSpec extends SparkSpec {
 
-  private lazy val (service, events, riskMap) = {
+  private lazy val (service, events) = {
     val labeled = AlarmPipeline.labelByDuration(TestFixtures.sitasys(spark), 1)
     val prepared = AlarmPipeline.prepare(labeled, AlarmPipeline.featuresFor("sitasys"))
     val svc = new VerificationService(prepared.encoder,
       SparkClassifiers.Logistic().fit(prepared.train))
     val evs = labeled.limit(300).collect().toIndexedSeq.map(AlarmSchema.toEvent)
-    val risks = TestFixtures.cities.flatMap(_.zips).map(z => z.zip -> z.latentRisk).toMap
-    (svc, evs, risks)
+    (svc, evs)
   }
 
   private def runStream(batches: Seq[Seq[AlarmEvent]], queryName: String) = {
     import spark.implicits._
     implicit val sqlCtx: org.apache.spark.sql.SQLContext = spark.sqlContext
     val input = MemoryStream[String]
-    val scored = VerificationStream.build(input.toDF(), Serializers.FastJsonSerializer,
-      service, riskMap)
+    val scored = VerificationStream.build(input.toDF(), Serializers.FastJsonSerializer, service)
     val query = scored.writeStream.format("memory").queryName(queryName)
       .outputMode("append").start()
     try {
@@ -40,8 +38,7 @@ class VerificationStreamSpec extends SparkSpec {
   test("streamed alarms are deserialized, annotated and scored") {
     val out = runStream(Seq(events.take(100)), "s1").cache()
     assert(out.count() == 100)
-    assert(Seq("id", "device_addr", "zip", "alarm_type", "a_priori_risk",
-      "p_true", "prediction", "send_to_arc").forall(out.columns.contains))
+    assert(out.columns.toSeq == Seq("id", "prediction", "p_true", "send_to_arc"))
     assert(out.where(col("p_true").isNull).count() == 0)
   }
 
@@ -50,25 +47,19 @@ class VerificationStreamSpec extends SparkSpec {
     assert(out.count() == 130)
   }
 
-  test("the a-priori risk UDF annotates known ZIPs with the gazetteer risk") {
-    val out = runStream(Seq(events.take(100)), "s3")
-    val rows = out.select("zip", "a_priori_risk").distinct().collect()
-    rows.foreach(r => assert(math.abs(r.getDouble(1) - riskMap(r.getString(0))) < 1e-12))
-  }
-
-  test("unknown ZIPs get zero a-priori risk") {
-    val weird = events.take(5).map(_.copy(zip = "0000"))
-    val out = runStream(Seq(weird), "s4")
-    assert(out.where(col("a_priori_risk") =!= 0.0).count() == 0)
-  }
-
   test("streaming scores equal batch scores for the same alarms") {
     val streamed = runStream(Seq(events.take(80)), "s5")
-      .select("id", "p_true").collect().map(r => r.getLong(0) -> r.getDouble(1)).toMap
-    val batch = service.verify(AlarmSchema.eventFrame(spark, events.take(80)))
-      .select("id", "p_true").collect().map(r => r.getLong(0) -> r.getDouble(1)).toMap
-    assert(streamed.keySet == batch.keySet)
-    streamed.foreach { case (id, p) => assert(math.abs(p - batch(id)) < 1e-9) }
+    val batch = service.score(AlarmSchema.eventFrame(spark, events.take(80)))
+    assert(streamed.columns.toSeq == batch.columns.toSeq)
+    def byId(df: org.apache.spark.sql.DataFrame) =
+      df.collect().map(r => r.getLong(0) -> (r.getDouble(1), r.getDouble(2), r.getBoolean(3))).toMap
+    val (s, b) = (byId(streamed), byId(batch))
+    assert(s.keySet == b.keySet && s.size == 80)
+    s.foreach { case (id, (prediction, pTrue, toArc)) =>
+      val (bPrediction, bPTrue, bToArc) = b(id)
+      assert(prediction == bPrediction && toArc == bToArc, id)
+      assert(math.abs(pTrue - bPTrue) < 1e-9, id)
+    }
   }
 
   test("send_to_arc respects the service threshold in streaming mode") {

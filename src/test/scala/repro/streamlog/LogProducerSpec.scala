@@ -45,20 +45,4 @@ class LogProducerSpec extends AnyFunSuite {
     val p = new LogProducer(log, Serializers.FastJsonSerializer)
     assert(p.sendAll(mkEvents(1000)) > 0)
   }
-
-  test("sendPaced approximates the requested rate") {
-    val log = new EmbeddedLog(1)
-    val p = new LogProducer(log, Serializers.FastJsonSerializer)
-    val achieved = p.sendPaced(mkEvents(200), ratePerSec = 1000)
-    assert(achieved <= 1300, s"paced rate overshoot: $achieved")
-    assert(log.totalRecords == 200)
-  }
-
-  test("sendPaced rejects a rate that is not positive") {
-    val log = new EmbeddedLog(1)
-    val p = new LogProducer(log, Serializers.FastJsonSerializer)
-    for (rate <- Seq(0.0, -5.0, Double.NaN))
-      intercept[IllegalArgumentException] { p.sendPaced(mkEvents(3), rate) }
-    assert(log.totalRecords == 0)
-  }
 }
