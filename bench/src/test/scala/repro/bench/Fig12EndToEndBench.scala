@@ -20,12 +20,11 @@ class Fig12EndToEndBench extends SparkSpec {
   private def benchJson: String = {
     def r3(x: Double): Double = math.round(x * 1000) / 1000.0
     val rows = results.map { r =>
-      val layers = Seq("deserialize" -> r.deserializeSec, "stream" -> r.streamSec,
-        "history" -> r.historySec, "ml" -> r.mlSec).map { case (name, sec) =>
-        s""""$name": {"ms": ${r3(sec * 1e3)}, "us_per_alarm": ${r3(sec * 1e6 / r.nAlarms)}, """ +
-          s""""share": ${r3(sec / r.totalSec)}}"""
+      val layers = r.total.layers.map { case (name, sec) =>
+        s""""$name": {"ms": ${r3(sec * 1e3)}, "us_per_alarm": ${r3(sec * 1e6 / r.total.nAlarms)}, """ +
+          s""""share": ${r3(r.share(name))}}"""
       }
-      s"""    {"partitions": ${r.partitions}, "alarms": ${r.nAlarms}, "batches": ${r.nBatches}, """ +
+      s"""    {"partitions": ${r.partitions}, "alarms": ${r.total.nAlarms}, "batches": ${r.nBatches}, """ +
         s""""alarms_per_s": ${math.round(r.throughput)},\n     "layers": {${layers.mkString(", ")}}}"""
     }
     s"""{
@@ -43,19 +42,19 @@ ${rows.mkString(",\n")}
     BenchEnv.section(s"Fig. 12 / Sec 5.5: end-to-end verification (sf=${BenchEnv.sf}, 60K alarms)")
     println(Reports.formatEndToEnd(results))
     println(s"wrote ${BenchEnv.writeBench("fig12", benchJson)}")
-    assert(results.forall(_.nAlarms == 60000))
+    assert(results.forall(_.total.nAlarms == 60000))
   }
 
   test("Fig. 12 shape: ML classification dominates the consumer time") {
     val r = at(8)
-    assert(r.mlFrac > r.deserializeFrac && r.mlFrac > r.historyFrac,
-      f"ml=${r.mlFrac}%.2f deser=${r.deserializeFrac}%.2f hist=${r.historyFrac}%.2f")
-    assert(r.mlFrac > 0.35, f"ml fraction ${r.mlFrac}%.2f")
+    val (ml, deser, hist) = (r.share("ml"), r.share("deserialize"), r.share("history"))
+    assert(ml > deser && ml > hist, f"ml=$ml%.2f deser=$deser%.2f hist=$hist%.2f")
+    assert(ml > 0.35, f"ml fraction $ml%.2f")
   }
 
   test("Fig. 12 shape: the history component is a small contributor") {
     val r = at(8)
-    assert(r.historyFrac < r.mlFrac, "history must cost less than ML")
+    assert(r.share("history") < r.share("ml"), "history must cost less than ML")
   }
 
   test("Headline claim: end-to-end verification sustains tens of thousands of alarms/sec") {

@@ -280,15 +280,11 @@ object Reports {
   // Fig. 12 + 30K/s claim: end-to-end consumer throughput & breakdown
   // -------------------------------------------------------------------------
 
-  /** One drain: alarms/s and the seconds spent in each consumer layer. */
-  final case class EndToEndResult(partitions: Int, nAlarms: Long, nBatches: Int, throughput: Double,
-                                  deserializeSec: Double, streamSec: Double,
-                                  historySec: Double, mlSec: Double) {
-    def totalSec: Double = deserializeSec + streamSec + historySec + mlSec
-    def deserializeFrac: Double = deserializeSec / totalSec
-    def streamFrac: Double = streamSec / totalSec
-    def historyFrac: Double = historySec / totalSec
-    def mlFrac: Double = mlSec / totalSec
+  /** One drain: alarms/s and its batches' timings summed. */
+  final case class EndToEndResult(partitions: Int, nBatches: Int, throughput: Double,
+                                  total: EndToEnd.BatchTiming) {
+    /** A layer's share of the consumer time. */
+    def share(layer: String): Double = total.layers.toMap.apply(layer) / total.totalSec
   }
 
   /** Streams 60K alarms through an unpartitioned (1) and a partitioned (8)
@@ -320,20 +316,17 @@ object Reports {
       new LogProducer(log, Serializers.FastJsonSerializer).sendAll(events)
       val e2e = new EndToEnd(spark, log, Serializers.FastJsonSerializer, history, service)
       val (timings, rate) = e2e.drain(maxPerPartition = 25000 / parts)
-      EndToEndResult(parts, timings.map(_.nAlarms).sum, timings.size, rate,
-        timings.map(_.deserializeSec).sum, timings.map(_.streamSec).sum,
-        timings.map(_.historySec).sum, timings.map(_.mlSec).sum)
+      EndToEndResult(parts, timings.size, rate, timings.reduce(_ + _))
     }
   }
 
   def formatEndToEnd(rs: Seq[EndToEndResult]): String = {
     val sb = new StringBuilder
-    sb.append(f"${"partitions"}%-11s ${"alarms"}%9s ${"alarms/s"}%12s " +
-      f"${"deser%"}%8s ${"stream%"}%8s ${"hist%"}%8s ${"ml%"}%8s\n")
+    sb.append(f"${"partitions"}%-11s ${"alarms"}%9s ${"alarms/s"}%12s" +
+      EndToEnd.BatchTiming.Zero.layers.map { case (layer, _) => f" ${layer + "%"}%12s" }.mkString + "\n")
     rs.foreach { r =>
-      sb.append(f"${r.partitions}%-11d ${r.nAlarms}%9d ${r.throughput}%12.0f " +
-        f"${r.deserializeFrac * 100}%7.1f%% ${r.streamFrac * 100}%7.1f%% " +
-        f"${r.historyFrac * 100}%7.1f%% ${r.mlFrac * 100}%7.1f%%\n")
+      sb.append(f"${r.partitions}%-11d ${r.total.nAlarms}%9d ${r.throughput}%12.0f" +
+        r.total.layers.map { case (layer, _) => f" ${r.share(layer) * 100}%11.1f%%" }.mkString + "\n")
     }
     sb.toString
   }

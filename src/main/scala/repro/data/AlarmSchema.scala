@@ -76,10 +76,12 @@ object AlarmSchema {
   def eventColumns(prefix: String): Seq[Column] =
     EventColumns.map { case (field, column) => col(prefix + field).as(column) }
 
-  /** The batch frame of a window of alarms. */
-  def eventFrame(spark: SparkSession, events: Seq[AlarmEvent]): DataFrame = {
+  /** The batch frame of a window of alarms, in `slices` RDD partitions. Over a
+    * `LocalRelation` (`createDataset(events)`) the optimizer would run the
+    * scoring UDFs on the driver at planning time (`ConvertToLocalRelation`). */
+  def eventFrame(spark: SparkSession, events: Seq[AlarmEvent], slices: Int): DataFrame = {
     import spark.implicits._
-    spark.createDataset(events).toDF().select(eventColumns(""): _*)
+    spark.createDataset(spark.sparkContext.parallelize(events, slices)).select(eventColumns(""): _*)
   }
 
   /** A [[LabeledAlarm]] row as the wire record; `tsEpoch` is `ts` in whole seconds. */

@@ -43,6 +43,4 @@ object TopicFilter {
     else if (f >= i) Some("fire")
     else Some("intrusion")
   }
-
-  def isRelevant(text: String): Boolean = topic(text).isDefined
 }

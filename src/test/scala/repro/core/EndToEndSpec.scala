@@ -38,7 +38,37 @@ class EndToEndSpec extends SparkSpec {
     producer.sendAll(events.take(300))
     val bt = e2e.consumeBatch()
     assert(bt.nAlarms == 300)
-    assert(bt.nDevices > 0 && bt.nDevices <= 300)
+    assert(bt.nDevices == events.take(300).map(_.deviceAddr).distinct.size)
+  }
+
+  test("a batch collects two queries, the histogram and the score, over an uncached frame") {
+    val (_, producer, e2e, events) = mkPipeline(4)
+    producer.sendAll(events.take(300))
+    val queries = new ConcurrentLinkedQueue[(String, String)]()
+    val listener = new QueryExecutionListener {
+      def onSuccess(funcName: String, qe: QueryExecution, durationNs: Long): Unit = {
+        queries.add(funcName -> qe.optimizedPlan.toString); ()
+      }
+      def onFailure(funcName: String, qe: QueryExecution, exception: Exception): Unit = ()
+    }
+    // Listener events arrive asynchronously but in order: the batch's queries
+    // are those after a marker query, and the score runs last.
+    def seen = queries.asScala.toSeq.dropWhile(!_._2.contains("batch_start")).drop(1)
+    spark.listenerManager.register(listener)
+    try {
+      spark.range(1).toDF("batch_start").collect()
+      assert(e2e.consumeBatch().nAlarms == 300)
+      eventually(timeout(10.seconds)) { assert(seen.exists(_._2.contains("p_true"))) }
+    } finally spark.listenerManager.unregister(listener)
+    val batch = seen
+    val report = batch.map { case (f, plan) => s"$f:\n$plan" }.mkString("\n---\n")
+    assert(batch.map(_._1) == Seq("collect", "collect"), report)
+    val (hist, score) = (batch(0)._2, batch(1)._2)
+    assert(hist.contains("count(1) AS n_alarms"), report)
+    assert(score.contains("UDF(struct(") && score.contains("p_true") &&
+      "UDF".r.findAllMatchIn(score).length >= 3, report)
+    assert(batch.forall { case (_, plan) =>
+      !plan.contains("InMemoryRelation") && !plan.contains("LocalRelation") }, report)
   }
 
   test("per-component timings are populated (the Fig. 12 breakdown)") {
@@ -94,7 +124,8 @@ class EndToEndSpec extends SparkSpec {
     // aggregate's per-bucket counts.
     val (_, history, _) = fixture
     val window = events.take(400)
-    val hist = history.histogram(window.map(_.deviceAddr), window.map(_.tsEpoch).min - 30L * 86400)
+    val hist = history.histogram(window.map(_.deviceAddr),
+      window.map(_.tsEpoch).min - EndToEnd.HistoryWindowSec)
     assert(hist.queryExecution.optimizedPlan.toString.contains("count(1) AS n_alarms"))
     val counted = hist.groupBy().count().queryExecution.optimizedPlan.toString
     assert(!counted.contains("n_alarms"), counted)

@@ -35,7 +35,7 @@ class VerificationStreamSpec extends SparkSpec {
     spark.table(queryName)
   }
 
-  test("streamed alarms are deserialized, annotated and scored") {
+  test("streamed alarms are deserialized and scored") {
     val out = runStream(Seq(events.take(100)), "s1").cache()
     assert(out.count() == 100)
     assert(out.columns.toSeq == Seq("id", "prediction", "p_true", "send_to_arc"))
@@ -49,7 +49,7 @@ class VerificationStreamSpec extends SparkSpec {
 
   test("streaming scores equal batch scores for the same alarms") {
     val streamed = runStream(Seq(events.take(80)), "s5")
-    val batch = service.score(AlarmSchema.eventFrame(spark, events.take(80)))
+    val batch = service.score(AlarmSchema.eventFrame(spark, events.take(80), 2))
     assert(streamed.columns.toSeq == batch.columns.toSeq)
     def byId(df: org.apache.spark.sql.DataFrame) =
       df.collect().map(r => r.getLong(0) -> (r.getDouble(1), r.getDouble(2), r.getBoolean(3))).toMap
