@@ -27,18 +27,19 @@ object AlarmPipeline {
     df.withColumn("label",
       when(col("duration_sec") >= lit(deltaTMinutes * 60.0), 1).otherwise(0))
 
-  /** Encoded 50/50 train/test split (Section 5.1.1), encoder fit on train. */
+  /** The 50/50 train/test split (Section 5.1.1): `train` is encoded,
+    * `(features, label)`, by the encoder fit on it; `test` keeps the raw
+    * feature columns and `label`, as alarms reach the Verification Service.
+    * Both are cached; only `train` is materialized here. */
   final case class Prepared(train: DataFrame, test: DataFrame, encoder: CategoricalEncoder)
 
-  def prepare(df: DataFrame, features: Seq[String],
-              trainFraction: Double = 0.5, seed: Long = 99): Prepared = {
-    val split = df.randomSplit(Array(trainFraction, 1 - trainFraction), seed)
+  def prepare(df: DataFrame, features: Seq[String], seed: Long = 99): Prepared = {
+    val split = df.randomSplit(Array(0.5, 0.5), seed)
     val (tr, te) = (split(0), split(1))
     val enc = CategoricalEncoder.fit(tr, features)
     val train = enc.transform(tr).select("features", "label").cache()
-    val test  = enc.transform(te).select("features", "label").cache()
-    train.count(); test.count()
-    Prepared(train, test, enc)
+    train.count()
+    Prepared(train, te.select((features :+ "label").map(col): _*).cache(), enc)
   }
 
   /** The four algorithms of Section 5.3 at the single-node training budget
@@ -54,12 +55,13 @@ object AlarmPipeline {
   final case class EvalResult(algorithm: String, accuracy: Double,
                               trainTimeSec: Double, model: AlarmModel)
 
-  /** Train on `prepared.train`, report accuracy on `prepared.test`. */
+  /** Train on `prepared.train`, report the accuracy of the Verification
+    * Service's verdicts on the raw `prepared.test`. */
   def evaluate(clf: AlarmClassifier, prepared: Prepared): EvalResult = {
     val t0 = System.nanoTime()
     val model = clf.fit(prepared.train)
     val trainSec = (System.nanoTime() - t0) / 1e9
-    val acc = Metrics.accuracy(model.transform(prepared.test))
+    val acc = Metrics.accuracy(new VerificationService(prepared.encoder, model).verify(prepared.test))
     EvalResult(clf.name, acc, trainSec, model)
   }
 }

@@ -57,10 +57,10 @@ object HybridPipeline {
 
   /** Run the full Table 9 grid. `mkClassifier` is invoked per cell/run so
     * stateful learners are fresh; accuracies are averaged over `runs`
-    * different train/test splits (the paper averaged 10 runs). */
+    * train/test splits, seeded 1000, 1001, … (the paper averaged 10 runs). */
   def run(spark: SparkSession, alarms: DataFrame, incidents: DataFrame,
           cities: Vector[Gazetteer.City], mkClassifier: () => AlarmClassifier,
-          features: Seq[String], runs: Int = 3, seedBase: Long = 1000): Seq[CellResult] = {
+          features: Seq[String], runs: Int = 3): Seq[CellResult] = {
 
     val buckets = riskBuckets(RiskFactors.compute(spark, incidents, cities)).cache()
     buckets.count()
@@ -78,7 +78,7 @@ object HybridPipeline {
         case "BRF"      => features :+ "brf_bucket"
       }
       val accs = (0 until runs).map { r =>
-        val prepared = AlarmPipeline.prepare(pop, featCols, seed = seedBase + r)
+        val prepared = AlarmPipeline.prepare(pop, featCols, seed = 1000L + r)
         val res = AlarmPipeline.evaluate(mkClassifier(), prepared)
         prepared.train.unpersist(); prepared.test.unpersist()
         res.accuracy

@@ -1,6 +1,7 @@
 package repro.core
 
 import org.apache.spark.SparkContext
+import org.apache.spark.ml.linalg.Vector
 import org.apache.spark.sql.{Column, DataFrame}
 import org.apache.spark.sql.functions._
 import repro.ml.{AlarmModel, CategoricalEncoder}
@@ -13,9 +14,13 @@ import repro.ml.{AlarmModel, CategoricalEncoder}
   * alarms with `p_true` below it are routed to the customer's phone first;
   * only those above go straight to the Alarm Receiving Center.
   *
-  * The encoder and model reach the executors as one broadcast, made on the
-  * first `verify` of each SparkContext; the scoring UDFs hold only that
-  * handle, so no batch's tasks carry the vocabularies and model again.
+  * It builds the only scoring UDFs in the program: both drivers score
+  * through `score`, and the offline evaluation behind Figs. 9–10 and
+  * Tables 8–9 (`AlarmPipeline.evaluate`) through `verify`, so the accuracy
+  * reported is that of the served path. The encoder and model reach the
+  * executors as one broadcast, made on the first `verify` of each
+  * SparkContext; the scoring UDFs hold only that handle, so no batch's
+  * tasks carry the vocabularies and model again.
   */
 final class VerificationService(val encoder: CategoricalEncoder,
                                 val model: AlarmModel,
@@ -28,8 +33,9 @@ final class VerificationService(val encoder: CategoricalEncoder,
   private def udfs(sc: SparkContext) = synchronized {
     if (!scoring.exists(_._1 eq sc)) {
       val b = sc.broadcast((encoder, model))
-      val (pTrue, prediction) = AlarmModel.scores(() => b.value._2)
-      scoring = Some((sc, (CategoricalEncoder.features(encoder.columns, () => b.value._1), pTrue, prediction)))
+      val f = col("features")
+      scoring = Some((sc, (CategoricalEncoder.features(encoder.columns, () => b.value._1),
+        udf((v: Vector) => b.value._2.pTrue(v)).apply(f), udf((v: Vector) => b.value._2.predict(v)).apply(f))))
     }
     scoring.get._2
   }

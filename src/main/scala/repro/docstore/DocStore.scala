@@ -21,11 +21,6 @@ final class DocStore(spark: SparkSession) {
     collections.getOrElseUpdate(name, mutable.ArrayBuffer.empty[String])
   }
 
-  /** Insert one raw JSON document. */
-  private[docstore] def insert(name: String, jsonDoc: String): Unit = synchronized {
-    coll(name) += jsonDoc; ()
-  }
-
   /** Insert many raw JSON documents. */
   private[docstore] def insertAll(name: String, docs: IterableOnce[String]): Unit = synchronized {
     coll(name) ++= docs; ()

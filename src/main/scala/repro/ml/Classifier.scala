@@ -1,7 +1,7 @@
 package repro.ml
 
 import org.apache.spark.ml.linalg.Vector
-import org.apache.spark.sql.{Column, DataFrame}
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 
 /** Unified view over the four algorithms of Section 5.3.
@@ -13,6 +13,8 @@ import org.apache.spark.sql.functions._
   *  - `pTrue` the confidence that the alarm is true, which the paper
   *    stresses is as important to the ARC operator as the verification
   *    itself (Section 6.1 "Provide probability of verification").
+  * [[repro.core.VerificationService]] turns a model into scoring columns,
+  * for serving and for the offline evaluation alike.
   */
 trait AlarmClassifier {
   def name: String
@@ -23,21 +25,6 @@ trait AlarmModel extends Serializable {
   def name: String
   def pTrue(features: Vector): Double
   def predict(features: Vector): Double
-
-  /** Adds `p_true` and `prediction` from the `features` column. */
-  def transform(df: DataFrame): DataFrame = {
-    val (pTrue, prediction) = AlarmModel.scores(() => this)
-    df.select(col("*"), pTrue.as("p_true"), prediction.as("prediction"))
-  }
-}
-
-object AlarmModel {
-  /** `p_true` and `prediction` over the `features` column, one UDF each;
-    * their closures hold only `model` (the model, or a broadcast of it). */
-  def scores(model: () => AlarmModel): (Column, Column) = {
-    val f = col("features")
-    (udf((v: Vector) => model().pTrue(v)).apply(f), udf((v: Vector) => model().predict(v)).apply(f))
-  }
 }
 
 object Metrics {

@@ -8,9 +8,12 @@ import org.scalatest.funsuite.AnyFunSuite
   *
   * Driver heap is set via ``Test / javaOptions`` in build.sbt from
   * SPARK_DRIVER_MEM (the image exports it, or derives ~75% of the cgroup
-  * limit). Broadcast joins are disabled so shuffle/join papers actually
-  * exercise the shuffle path at SF~=0.1; re-enable per-query if the
-  * paper's contribution is the broadcast side.
+  * limit). Broadcast joins are disabled: Table 9's scenario populations
+  * are joins, and `randomSplit` samples each partition with its own seed,
+  * so every train/test split of them, and every Table 9 accuracy, depends
+  * on the join's output partitioning. A sort-merge join over
+  * `spark.sql.shuffle.partitions` keeps that partitioning independent of
+  * Spark's size estimates.
   */
 trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
   lazy val spark: SparkSession = SparkSpec.shared

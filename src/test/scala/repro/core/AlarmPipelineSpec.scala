@@ -1,6 +1,12 @@
 package repro.core
 
+import java.util.concurrent.ConcurrentLinkedQueue
+import org.apache.spark.sql.execution.QueryExecution
 import org.apache.spark.sql.functions._
+import org.apache.spark.sql.util.QueryExecutionListener
+import org.scalatest.concurrent.Eventually._
+import org.scalatest.time.SpanSugar._
+import scala.jdk.CollectionConverters._
 import repro.{SparkSpec, TestFixtures}
 import repro.data.AlarmSchema
 import repro.ml.{Hyperparams, Mlp, SparkClassifiers}
@@ -43,9 +49,9 @@ class AlarmPipelineSpec extends SparkSpec {
     assert(math.abs(tr - te) < n * 0.15, s"train=$tr test=$te")
   }
 
-  test("prepare emits encoded columns only") {
+  test("prepare encodes the train split and keeps the test split raw") {
     assert(prepared.train.columns.toSet == Set("features", "label"))
-    assert(prepared.test.columns.toSet == Set("features", "label"))
+    assert(prepared.test.columns.toSeq == AlarmPipeline.featuresFor("sitasys") :+ "label")
   }
 
   test("the split is deterministic in the seed and disjoint") {
@@ -72,6 +78,31 @@ class AlarmPipelineSpec extends SparkSpec {
     val res = AlarmPipeline.evaluate(SparkClassifiers.Logistic(), prepared)
     assert(res.trainTimeSec > 0)
     assert(res.accuracy > 0.75, s"LR accuracy ${res.accuracy}")
+  }
+
+  test("evaluate scores the raw test split through the Verification Service's encoder and model UDFs") {
+    val queries = new ConcurrentLinkedQueue[(String, String)]()
+    val listener = new QueryExecutionListener {
+      // The expressions of the plan's own nodes: a cached relation's inner
+      // plan is not among them.
+      def onSuccess(funcName: String, qe: QueryExecution, durationNs: Long): Unit = {
+        queries.add(funcName -> qe.optimizedPlan.flatMap(_.expressions).mkString("\n")); ()
+      }
+      def onFailure(funcName: String, qe: QueryExecution, exception: Exception): Unit = ()
+    }
+    // Listener events arrive asynchronously but in order: evaluate's
+    // accuracy query is the last one before the end marker.
+    def seen = queries.asScala.toSeq
+    spark.listenerManager.register(listener)
+    try {
+      AlarmPipeline.evaluate(SparkClassifiers.Logistic(), prepared)
+      spark.range(1).toDF("evaluate_end").collect()
+      eventually(timeout(10.seconds)) { assert(seen.exists(_._2.contains("evaluate_end"))) }
+    } finally spark.listenerManager.unregister(listener)
+    val (func, plan) = seen.takeWhile(!_._2.contains("evaluate_end")).last
+    assert(func == "collect", plan)
+    assert(plan.contains("UDF(struct(zip"), plan)
+    assert(plan.contains("AS prediction") && "UDF".r.findAllMatchIn(plan).length >= 2, plan)
   }
 
   test("DNN beats chance on Sitasys at unit-test scale") {

@@ -164,7 +164,7 @@ class AlarmHistorySpec extends SparkSpec {
     assert(s.count("alarms") == 1, "a failed ingest stores nothing")
     assert(assertIndexed(first, Seq("d1"), 0L, 3600) == Set(("d1", 0L, 1L)))
     // A document written around the history after its ingest.
-    s.insert("alarms", """{"device_addr":"d1","ts_epoch":200}""")
+    s.insertAll("alarms", Seq("""{"device_addr":"d1","ts_epoch":200}"""))
     assertFails(first)
     // A store filled before the history was built.
     val filled = new DocStore(spark)

@@ -7,13 +7,6 @@ class DocStoreSpec extends SparkSpec {
 
   private def fresh = new DocStore(spark)
 
-  test("insert and count") {
-    val s = fresh
-    s.insert("c", """{"a": 1}""")
-    s.insert("c", """{"a": 2}""")
-    assert(s.count("c") == 2)
-  }
-
   test("insertAll counts every document") {
     val s = fresh
     s.insertAll("c", (1 to 25).map(i => s"""{"a": $i}"""))
@@ -27,8 +20,7 @@ class DocStoreSpec extends SparkSpec {
 
   test("toDF materializes documents with inferred schema") {
     val s = fresh
-    s.insert("c", """{"name": "x", "v": 7}""")
-    s.insert("c", """{"name": "y", "v": 9}""")
+    s.insertAll("c", Seq("""{"name": "x", "v": 7}""", """{"name": "y", "v": 9}"""))
     val df = s.toDF("c")
     assert(df.count() == 2)
     assert(df.columns.toSet == Set("name", "v"))
@@ -37,8 +29,8 @@ class DocStoreSpec extends SparkSpec {
 
   test("schema drift: documents with different fields coexist (the MongoDB property)") {
     val s = fresh
-    s.insert("alarms", """{"zip": "4001", "alarm_type": "fire"}""")
-    s.insert("alarms", """{"zip": "8000", "sensor_fw": "2.0.1", "battery": 77}""")
+    s.insertAll("alarms", Seq("""{"zip": "4001", "alarm_type": "fire"}""",
+                              """{"zip": "8000", "sensor_fw": "2.0.1", "battery": 77}"""))
     val df = s.toDF("alarms")
     assert(df.columns.toSet == Set("zip", "alarm_type", "sensor_fw", "battery"))
     assert(df.where(col("alarm_type").isNull).count() == 1)
@@ -47,15 +39,15 @@ class DocStoreSpec extends SparkSpec {
 
   test("collections are independent") {
     val s = fresh
-    s.insert("x", """{"a": 1}""")
-    s.insert("y", """{"a": 2}""")
+    s.insertAll("x", Seq("""{"a": 1}"""))
+    s.insertAll("y", Seq("""{"a": 2}"""))
     assert(s.count("x") == 1 && s.count("y") == 1)
   }
 
   test("concurrent inserts are all retained") {
     val s = fresh
     val threads = (0 until 4).map { t =>
-      new Thread(() => (0 until 500).foreach(i => s.insert("c", s"""{"t": $t, "i": $i}""")))
+      new Thread(() => (0 until 500).foreach(i => s.insertAll("c", Seq(s"""{"t": $t, "i": $i}"""))))
     }
     threads.foreach(_.start()); threads.foreach(_.join())
     assert(s.count("c") == 2000)

@@ -5,6 +5,7 @@ import org.apache.spark.ml.linalg.Vector
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 import repro.{SparkJobs, SparkSpec}
+import repro.core.VerificationService
 import scala.util.Random
 
 class SparkClassifiersSpec extends SparkSpec {
@@ -18,12 +19,15 @@ class SparkClassifiersSpec extends SparkSpec {
       val y = rng.nextInt(2)
       val a = if (y == 1) "hot" else "cold"
       val b = Seq("x", "y", "z")(rng.nextInt(3))
-      (a, b, y)
+      (a, b, y.toDouble)
     }
     rows.toDF("a", "b", "label")
   }
   private lazy val encoder = CategoricalEncoder.fit(raw, Seq("a", "b"))
   private lazy val encoded: DataFrame = encoder.transform(raw).cache()
+
+  /** `raw` scored as the Verification Service scores alarms. */
+  private def scored(model: AlarmModel): DataFrame = new VerificationService(encoder, model).verify(raw)
 
   private val classifiers: Seq[AlarmClassifier] = Seq(
     SparkClassifiers.RandomForest(Hyperparams.RandomForestParams(maxDepth = 5, numTrees = 10)),
@@ -34,26 +38,26 @@ class SparkClassifiersSpec extends SparkSpec {
 
   for (clf <- classifiers) {
     test(s"${clf.name}: learns a separable concept") {
-      val scored = clf.fit(encoded).transform(encoded)
-      assert(Metrics.accuracy(scored) > 0.95, clf.name)
+      val out = scored(clf.fit(encoded))
+      assert(Metrics.accuracy(out) > 0.95, clf.name)
     }
 
     test(s"${clf.name}: provides confidence p_true in [0,1]") {
-      val scored = clf.fit(encoded).transform(encoded)
-      assert(scored.where(col("p_true") < 0 || col("p_true") > 1).count() == 0)
+      val out = scored(clf.fit(encoded))
+      assert(out.where(col("p_true") < 0 || col("p_true") > 1).count() == 0)
     }
 
     test(s"${clf.name}: prediction is consistent with the confidence") {
-      val scored = clf.fit(encoded).transform(encoded)
-      val inconsistent = scored.where(
+      val out = scored(clf.fit(encoded))
+      val inconsistent = out.where(
         (col("p_true") > 0.55 && col("prediction") === 0.0) ||
         (col("p_true") < 0.45 && col("prediction") === 1.0)).count()
       assert(inconsistent == 0, clf.name)
     }
 
     test(s"${clf.name}: confident on the separable feature") {
-      val scored = clf.fit(encoded).transform(encoded)
-      val meanPTrueByLabel = scored.groupBy("label").agg(avg("p_true")).collect()
+      val out = scored(clf.fit(encoded))
+      val meanPTrueByLabel = out.groupBy("label").agg(avg("p_true")).collect()
         .map(r => r.getDouble(0) -> r.getDouble(1)).toMap
       assert(meanPTrueByLabel(1.0) > meanPTrueByLabel(0.0) + 0.3, clf.name)
     }
@@ -62,7 +66,7 @@ class SparkClassifiersSpec extends SparkSpec {
   test("each Spark wrapper's p_true is its model's probability(1), or sigmoid(rawPrediction(1)) for the SVM") {
     for (clf <- classifiers.filterNot(_.name == "DNN")) {
       val model = clf.fit(encoded).asInstanceOf[SparkClassifiers.SparkModel]
-      val pTrue = model.transform(encoded).select("p_true").collect().map(_.getDouble(0))
+      val pTrue = scored(model).select("p_true").collect().map(_.getDouble(0))
       val raw = model.m.transform(encoded)
       val expected =
         if (clf.name == "SVM") raw.select("rawPrediction").collect()
@@ -76,7 +80,7 @@ class SparkClassifiersSpec extends SparkSpec {
   test("each Spark wrapper's prediction is its model's own transform prediction") {
     for (clf <- classifiers.filterNot(_.name == "DNN")) {
       val model = clf.fit(encoded).asInstanceOf[SparkClassifiers.SparkModel]
-      val got = model.transform(encoded).select("prediction").collect().map(_.getDouble(0))
+      val got = scored(model).select("prediction").collect().map(_.getDouble(0))
       val expected = model.m.transform(encoded).select("prediction").collect().map(_.getDouble(0))
       assert(got.length == encoded.count(), clf.name)
       assert(got.toSeq == expected.toSeq, clf.name)
@@ -85,7 +89,7 @@ class SparkClassifiersSpec extends SparkSpec {
 
   test("the DNN's p_true from features is Net.pTrue on the encoder's indices") {
     val model = classifiers.last.fit(encoded).asInstanceOf[Mlp.DnnModel]
-    val rows = model.transform(encoded).select("a", "b", "p_true").collect()
+    val rows = scored(model).select("a", "b", "p_true").collect()
     assert(rows.length == 600)
     rows.foreach { r =>
       val idx = encoder.indicesOf(Seq(r.getString(0), r.getString(1)))
